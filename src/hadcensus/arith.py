@@ -7,6 +7,7 @@ Baillie/PSW-style probable-prime test above, flagged as uncertified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -80,12 +81,7 @@ def _mr_composite(n, a, d, s):
 
 
 def _is_square(n):
-    r = int(n**0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r * r == n
+    return math.isqrt(n) ** 2 == n
 
 
 def _strong_lucas_prp(n):
@@ -249,11 +245,8 @@ def max_m_leq(epsilon: Fraction, k):
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    target = k**eps.numerator
-    m = 0
-    while (1 << ((m + 1) * eps.denominator)) <= target:
-        m += 1
-    return m
+    # 2^(m*den) <= k^num  <=>  m*den <= bit_length(k^num) - 1
+    return ((k**eps.numerator).bit_length() - 1) // eps.denominator
 
 
 def max_m_lt(epsilon: Fraction, x):
@@ -263,8 +256,6 @@ def max_m_lt(epsilon: Fraction, x):
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
+    # 2^(m*den) < x^num  <=>  m*den <= bit_length(x^num - 1) - 1
     target = x**eps.numerator
-    m = 0
-    while (1 << ((m + 1) * eps.denominator)) < target:
-        m += 1
-    return m
+    return 0 if target == 1 else ((target - 1).bit_length() - 1) // eps.denominator

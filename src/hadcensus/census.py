@@ -6,6 +6,12 @@ the von Mangoldt function and Chebyshev psi, and the logarithmic integral
 with its Riemann-sum sandwich.  Exponent-window edges are decided in exact
 rational arithmetic (see arith.max_m_leq / max_m_lt).
 
+A census sieves one table of prime flags for 2^m*k - 1 (_prime_table);
+S, sum S^2, N, M, M' and the certified flag are reductions of it.  The
+sigma identity checks it per l against pi_count's sieve over all integers
+when 2^l*x <= PI_SIEVE_LIMIT, else against a small-prime screen of the
+progression with a primality test on every survivor.
+
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
 With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
 (I_closed), f is strictly decreasing for a > 0, so for L >= M >= 1
@@ -16,13 +22,12 @@ With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from . import arith
 from .errors import DomainError, WindowError
@@ -31,6 +36,9 @@ from .errors import DomainError, WindowError
 # above it the progression is enumerated and each member primality-tested.
 PI_SIEVE_LIMIT = 10**7
 SEGMENT_SIZE_DEFAULT = 1 << 20
+# Census table rows sieve with odd primes up to this; past its square,
+# their survivors are tested one by one.
+TABLE_SIEVE_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,80 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
+# --- the census table -------------------------------------------------------
+
+
+def _prime_table(x, epsilon, allow_probable=True):
+    """(prime, probable) over m = 1..floor(epsilon*log2(x)) and odd k <= x:
+    prime[m-1, j] when 2^m*(2j+1) - 1 counts as prime, probable when only
+    as a probable prime.
+
+    2^m*k - 1 = 0 (mod p) exactly when k = 2^-m (mod p), so row m crosses
+    those k out for every odd prime p <= min(isqrt(2^m*x), TABLE_SIEVE_BOUND)
+    but spares the entry equal to p.  Primes below the number of k stride
+    through the row; each larger one hits at most one k, all in one step.
+    """
+    rows = arith.max_m_leq(epsilon, x)  # >= max_m_lt(epsilon, x): N's window
+    nk = (x + 1) // 2
+    prime = np.ones((rows, nk), dtype=bool)
+    probable = np.zeros((rows, nk), dtype=bool)
+    prime[:1, :1] = False  # 2*1 - 1 = 1
+    top = min(math.isqrt(x << rows), TABLE_SIEVE_BOUND)
+    primes = np.flatnonzero(_prime_flags(top))[1:]
+    half = (primes + 1) // 2  # 2^-1 mod p
+    inv = np.ones_like(primes)
+    for m in range(1, rows + 1):
+        inv = inv * half % primes  # 2^-m mod p
+        root = math.isqrt(x << m)
+        p = primes[: np.searchsorted(primes, root, side="right")]
+        j = (inv[: p.size] - 1) * half[: p.size] % p  # k = 2j + 1 = 2^-m (mod p)
+        # 2^m*k - 1 = p needs 2^m <= p + 1, so the shift cannot overflow
+        own = ((2 * j + 1) << min(m, TABLE_SIEVE_BOUND.bit_length())) == p + 1
+        j += p * own
+        row = prime[m - 1]
+        small = int(np.searchsorted(p, nk))
+        for start, step in zip(j[:small].tolist(), p[:small].tolist()):
+            row[start::step] = False
+        large = j[small:]
+        row[large[large < nk]] = False
+        if root > TABLE_SIEVE_BOUND:  # survivors may still be composite
+            for i in np.flatnonzero(row).tolist():
+                r = arith.is_prime(((2 * i + 1) << m) - 1)
+                row[i] = bool(r) and (allow_probable or r.is_certified)
+                probable[m - 1, i] = row[i] and not r.is_certified
+    return prime, probable
+
+
+def _m_window(prime, probable, epsilon, x):
+    """(flag per odd k <= x, certified): some counted prime 2^m*k - 1 has
+    m <= epsilon*log2(k), a bound nondecreasing in k; certified unless the
+    first such prime of some k is only probable."""
+    firsts = [
+        bisect_left(range(1, x + 1), m, key=lambda k: arith.max_m_leq(epsilon, k)) + 1
+        for m in range(1, len(prime) + 1)
+    ]
+    hits = prime & (np.arange(1, x + 1, 2) >= np.array(firsts)[:, None])
+    ok = hits.any(axis=0)
+    cols = np.flatnonzero(ok)
+    first = hits[:, cols].argmax(axis=0) if cols.size else cols
+    return ok, not probable[first, cols].any()
+
+
+def _closure_count(flags, x):
+    """Size of the multiplicative closure of the odd k <= x marked in flags
+    (flags indexed (k-1)//2): products of members are marked until no
+    product adds a member."""
+    has = np.zeros(x + 1, dtype=bool)
+    has[1::2] = flags
+    while True:
+        before = int(np.count_nonzero(has))
+        for d in np.flatnonzero(has[: math.isqrt(x) + 1]).tolist():
+            hi = x // d  # d*j for odd j in d..hi
+            has[d * d : d * hi + 1 : 2 * d] |= has[d : hi + 1 : 2]
+        if np.count_nonzero(has) == before:
+            return before
+
+
 # --- S counts and the sigma identity ----------------------------------------
 
 
@@ -118,123 +200,65 @@ def S_count(k, L, allow_probable=True):
     )
 
 
-def _s_moments(x, L, allow_probable=True):
-    """(sum S, sum S^2, certified) over odd k <= x."""
-    total = 0
-    total_sq = 0
-    certified = True
-    for k in range(1, x + 1, 2):
-        s = 0
-        for l in range(1, L + 1):
-            r = arith.is_prime((k << l) - 1)
-            if r and (allow_probable or r.is_certified):
-                s += 1
-                certified = certified and r.is_certified
-        total += s
-        total_sq += s * s
-    return total, total_sq, certified
-
-
 def _progression_prime_count(l, x, allow_probable=True):
-    """(count, certified): primes p <= 2^l*x with p = 2^l - 1 mod 2^(l+1).
+    """Number of primes p <= 2^l*x with p = 2^l - 1 mod 2^(l+1).
 
     Such p are exactly 2^l*k - 1 for odd k <= x.  Small primes screen the
     bulk; survivors get an individual primality test.
     """
     ks = np.arange(1, x + 1, 2, dtype=np.int64)
     keep = np.ones(ks.size, dtype=bool)
-    count = 0
     for p in arith.SMALL_PRIMES[1:]:
-        t = pow(2, l, p)
-        r = pow(t, -1, p)
-        keep &= ks % p != r
-        # re-admit the screened k whose value *is* the prime p itself
-        if (p + 1) % (1 << l) == 0:
-            k0 = (p + 1) >> l
-            if k0 % 2 == 1 and k0 <= x:
-                count += 1
-    certified = True
-    for k in ks[keep]:
-        res = arith.is_prime((int(k) << l) - 1)
-        if res and (allow_probable or res.is_certified):
-            count += 1
-            certified = certified and res.is_certified
-    return count, certified
+        keep &= ks % p != pow(2, -l, p)
+    if l < 10:  # re-admit the k whose value *is* a screening prime
+        keep |= np.isin((ks << l) - 1, arith.SMALL_PRIMES)
+    return sum(arith.is_prime_bool((k << l) - 1, allow_probable)
+               for k in ks[keep].tolist())
 
 
 def _pi_terms(params: CensusParams, allow_probable=True):
     """Per-l progression prime counts; sieved exactly when the bound is
     small enough, enumerated otherwise."""
     terms = []
-    certified = True
     for l in range(1, params.L + 1):
         bound = (1 << l) * params.x
         if bound <= PI_SIEVE_LIMIT:
             c = pi_count(bound, 1 << (l + 1), (1 << l) - 1)
         else:
-            c, cert = _progression_prime_count(l, params.x, allow_probable)
-            certified = certified and cert
+            c = _progression_prime_count(l, params.x, allow_probable)
         terms.append((l, c))
-    return tuple(terms), certified
+    return tuple(terms)
 
 
 def sigma(params: CensusParams, allow_probable=True):
     """(sigma, pi_terms): sum of S(k, L) over odd k <= x, cross-checked
     against the per-l progression counts; raises on disagreement."""
-    params.require_window()
-    terms, _ = _pi_terms(params, allow_probable)
-    direct, _, _ = _s_moments(params.x, params.L, allow_probable)
-    pi_sum = sum(c for _, c in terms)
-    if direct != pi_sum:
-        raise ArithmeticError(
-            f"sigma identity violated: direct {direct} != pi-sum {pi_sum}"
-        )
-    return direct, terms
+    report = density_report(params.x, params.epsilon, allow_probable)
+    return report.sigma, report.pi_terms
 
 
 def sum_S_squared(params: CensusParams, allow_probable=True):
-    """Sum of S(k, L)^2 over odd k <= x."""
-    params.require_window()
-    _, total_sq, _ = _s_moments(params.x, params.L, allow_probable)
-    return total_sq
+    """Sum of S(k, L)^2 over odd k <= x (after the sigma cross-check)."""
+    return density_report(params.x, params.epsilon, allow_probable).sum_S_squared
 
 
 # --- the N / M / M' censuses -------------------------------------------------
 
 
-def _window_success(k, m_hi, allow_probable=True):
-    """(success, certified_influence) for the first prime 2^m*k - 1 with
-    1 <= m <= m_hi."""
-    for m in range(1, m_hi + 1):
-        r = arith.is_prime((k << m) - 1)
-        if r and (allow_probable or r.is_certified):
-            return True, r.is_certified
-    return False, True
-
-
 def N_eps(x, epsilon, allow_probable=True):
     """Odd k <= x with 2^m*k - 1 prime for some positive m < epsilon*log2(x)
     (strict window, fixed by x)."""
-    epsilon = Fraction(epsilon)
     if x < 1:
         return 0
-    m_hi = arith.max_m_lt(epsilon, x)
-    return sum(
-        1 for k in range(1, x + 1, 2)
-        if _window_success(k, m_hi, allow_probable)[0]
-    )
+    prime, _ = _prime_table(x, epsilon, allow_probable)
+    return int(prime[: arith.max_m_lt(epsilon, x)].any(axis=0).sum())
 
 
 def _m_detail(x, epsilon, allow_probable=True):
     """(qualifying-k bool list indexed (k-1)//2, certified)."""
-    epsilon = Fraction(epsilon)
-    flags = []
-    certified = True
-    for k in range(1, x + 1, 2):
-        ok, cert = _window_success(k, arith.max_m_leq(epsilon, k), allow_probable)
-        flags.append(ok)
-        certified = certified and cert
-    return flags, certified
+    prime, probable = _prime_table(x, epsilon, allow_probable)
+    flags, certified = _m_window(prime, probable, epsilon, x)
+    return flags.tolist(), certified
 
 
 def M_eps(x, epsilon, allow_probable=True):
@@ -250,21 +274,7 @@ def property_p_census(x, epsilon, allow_probable=True):
     the M-window condition individually (multiplicative closure)."""
     if x < 3:
         return 0
-    flags, _ = _m_detail(x, epsilon, allow_probable)
-    # Ascending closure: k has property P iff it qualifies directly or
-    # splits as d * (k/d) with both factors already marked.
-    has = list(flags)
-    for k in range(3, x + 1, 2):
-        i = (k - 1) // 2
-        if has[i]:
-            continue
-        d = 3
-        while d * d <= k:
-            if k % d == 0 and has[(d - 1) // 2] and has[(k // d - 1) // 2]:
-                has[i] = True
-                break
-            d += 2
-    return sum(has)
+    return _closure_count(_m_detail(x, epsilon, allow_probable)[0], x)
 
 
 def certified_H_lower(x, epsilon, allow_probable=True):
@@ -288,54 +298,37 @@ def _prime_flags(limit):
     return flags
 
 
-def _segment_flags(lo, hi, base_primes):
-    flags = np.ones(hi - lo + 1, dtype=bool)
-    if lo <= 1:
-        flags[: min(2 - lo, hi - lo + 1)] = False
-    for p in base_primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        flags[start - lo :: p] = False
-    return flags
+def _progression_hits(limit, q, a, segment_size):
+    """(lo, hits) per segment of 2..limit: hits[i] when lo + i is a prime
+    congruent to a mod q."""
+    if q < 1:
+        raise DomainError("q must be positive")
+    if segment_size < 1:
+        raise DomainError("segment_size must be positive")
+    base = np.nonzero(_prime_flags(math.isqrt(max(limit, 0))))[0]
+    for lo in range(2, limit + 1, segment_size):
+        hi = min(lo + segment_size - 1, limit)
+        flags = np.ones(hi - lo + 1, dtype=bool)
+        for p in base[base * base <= hi].tolist():
+            flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        vals = np.arange(lo, hi + 1, dtype=np.int64)
+        yield lo, flags & (vals % q == a % q)
 
 
 def pi_count(x, q, a, segment_size=SEGMENT_SIZE_DEFAULT):
     """Primes p <= x with p = a (mod q), by segmented sieve."""
-    if q < 1:
-        raise DomainError("q must be positive")
-    if x < 2:
-        return 0
-    base = np.nonzero(_prime_flags(math.isqrt(x)))[0]
-    a %= q
-    count = 0
-    for lo in range(2, x + 1, segment_size):
-        hi = min(lo + segment_size - 1, x)
-        flags = _segment_flags(lo, hi, base)
-        vals = np.arange(lo, hi + 1, dtype=np.int64)
-        count += int(np.count_nonzero(flags & (vals % q == a)))
-    return count
+    return sum(int(np.count_nonzero(hits))
+               for _, hits in _progression_hits(x, q, a, segment_size))
 
 
 def pi_prefix(limit, q, a, segment_size=SEGMENT_SIZE_DEFAULT):
     """Array c with c[x] = pi_count(x, q, a) for every x in 0..limit,
     built from the same segmented machinery."""
-    if q < 1:
-        raise DomainError("q must be positive")
-    a %= q
     out = np.zeros(limit + 1, dtype=np.int64)
-    if limit < 2:
-        return out
-    base = np.nonzero(_prime_flags(math.isqrt(limit)))[0]
     running = 0
-    for lo in range(2, limit + 1, segment_size):
-        hi = min(lo + segment_size - 1, limit)
-        flags = _segment_flags(lo, hi, base)
-        vals = np.arange(lo, hi + 1, dtype=np.int64)
-        hits = (flags & (vals % q == a)).astype(np.int64)
-        out[lo : hi + 1] = running + np.cumsum(hits)
-        running = int(out[hi])
+    for lo, hits in _progression_hits(limit, q, a, segment_size):
+        out[lo : lo + hits.size] = running + np.cumsum(hits)
+        running = int(out[lo + hits.size - 1])
     return out
 
 
@@ -357,6 +350,8 @@ def I_closed(M, L, a):
 
 def I_quadrature(M, L, a):
     """Numerical twin of I_closed by adaptive quadrature."""
+    from scipy import integrate  # only here: importing scipy costs ~0.65 s
+
     _check_integral_domain(M, L, a)
     value, _ = integrate.quad(lambda l: a / (1 + l * a), M, L,
                               epsabs=1e-13, epsrel=1e-13)
@@ -462,17 +457,20 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     """All census statistics for (x, epsilon) in one report."""
     params = CensusParams.create(x, epsilon)
     params.require_window()
-    terms, cert_pi = _pi_terms(params, allow_probable)
-    s_sum, s_sq, cert_s = _s_moments(x, params.L, allow_probable)
+    terms = _pi_terms(params, allow_probable)
+    prime, probable = _prime_table(x, params.epsilon, allow_probable)
+    S = prime[: params.L].sum(axis=0)
+    s_sum = int(S.sum())
     pi_sum = sum(c for _, c in terms)
     if s_sum != pi_sum:
         raise ArithmeticError(
             f"sigma identity violated: direct {s_sum} != pi-sum {pi_sum}"
         )
-    flags_m, cert_m = _m_detail(x, params.epsilon, allow_probable)
-    n_count = N_eps(x, params.epsilon, allow_probable)
-    m_count = sum(flags_m)
-    m_prime = property_p_census(x, params.epsilon, allow_probable)
+    s_sq = int((S * S).sum())
+    flags_m, cert_m = _m_window(prime, probable, params.epsilon, x)
+    n_count = int(prime[: arith.max_m_lt(params.epsilon, x)].any(axis=0).sum())
+    m_count = int(flags_m.sum())
+    m_prime = _closure_count(flags_m, x)
     h_lower = 1 + m_count
     degenerate = []
     if s_sq > 0:
@@ -491,6 +489,6 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
         H_lower=h_lower,
         cs_lower_bound=cs,
         upper_curve=2 * x * math.log2(1 + float(params.epsilon)),
-        certified=cert_pi and cert_s and cert_m,
+        certified=not probable[: params.L].any() and cert_m,
         degenerate_flags=tuple(degenerate),
     )

@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: build, verify, search, census, riesel, pi, psi.
-Exit codes: 0 success, 1 I/O or parse failure, 2 prime search exhausted,
-3 verification failure, 4 covering gap.
+Exit codes: 0 success, 1 I/O, parse or domain failure (an argument out of
+range, an empty census window), 2 prime search exhausted, 3 verification
+failure, 4 covering gap.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import census, construct, solver
-from .errors import CoverageGap, NoPrimeInRange, PmParseError, WindowError
+from .errors import (CoverageGap, DomainError, NoPrimeInRange, PmParseError,
+                     WindowError)
 from .jsonio import canonical_json
 from .matrix import MAX_ORDER_DEFAULT, is_hadamard, read_matrix, write_matrix
 
@@ -81,13 +83,9 @@ def cmd_search(args):
 
 
 def cmd_census(args):
-    try:
-        report = census.density_report(
-            args.x, args.epsilon, allow_probable=not args.strict_primality
-        )
-    except WindowError as exc:
-        print(f"window error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    report = census.density_report(
+        args.x, args.epsilon, allow_probable=not args.strict_primality
+    )
     text = canonical_json(report.to_json_dict())
     if args.out:
         _write_text(args.out, text)
@@ -196,6 +194,10 @@ def main(argv=None):
         return args.func(args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (DomainError, WindowError) as exc:
+        kind = "window" if isinstance(exc, WindowError) else "domain"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

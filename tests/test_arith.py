@@ -67,6 +67,14 @@ class TestIsPrime:
         r = is_prime(n)
         assert r.verdict is Verdict.COMPOSITE and r.is_certified
 
+    def test_beyond_float_range(self):
+        # 3*2^1274 - 1 is a known Riesel prime; above 2^1024 the Lucas
+        # step's perfect-square test must not go through a float
+        r = is_prime(3 * 2**1274 - 1)
+        assert r.verdict is Verdict.PRIME and r.method is Method.PROBABLE_PRIME
+        assert arith._is_square((3 * 2**1274 - 1) ** 2)
+        assert not arith._is_square((3 * 2**1274 - 1) ** 2 + 1)
+
     def test_strong_pseudoprimes_to_base_2(self):
         for n in (2047, 3277, 4033, 4681, 8321, 15841, 65281):
             assert not is_prime(n)
@@ -172,3 +180,20 @@ class TestWindows:
         assert arith.max_m_lt(Fraction(2), 4) == 3
         assert arith.max_m_leq(Fraction(1), 1) == 0
         assert arith.max_m_lt(Fraction(1, 2), 2) == 0
+
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    @settings(max_examples=300)
+    def test_closed_forms_meet_the_definition(self, num, den, k):
+        # With epsilon = num/den, m <= epsilon*log2(k) is 2^(m*den) <= k^num
+        # and m < epsilon*log2(k) is 2^(m*den) < k^num; each bound is the
+        # largest m >= 0 satisfying its inequality.
+        eps = Fraction(num, den)
+        leq = arith.max_m_leq(eps, k)
+        assert 2 ** (leq * den) <= k**num < 2 ** ((leq + 1) * den)
+        lt = arith.max_m_lt(eps, k)
+        assert lt == 0 or 2 ** (lt * den) < k**num
+        assert k**num <= 2 ** ((lt + 1) * den)

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+# I_quadrature imports scipy on first use; importing it here keeps that
+# import out of the time hypothesis allows each example
+import scipy.integrate  # noqa: F401
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadcensus import census
+from hadcensus import arith, census
 from hadcensus.census import (
     CensusParams,
     I_closed,
@@ -176,6 +179,12 @@ class TestPiCount:
     def test_small_segments(self):
         assert pi_count(100, 4, 3, segment_size=7) == 13
 
+    def test_segment_size_domain(self):
+        with pytest.raises(DomainError):
+            pi_count(100, 4, 3, segment_size=0)
+        with pytest.raises(DomainError):
+            pi_prefix(100, 4, 3, segment_size=-1)
+
 
 class TestIntegral:
     def test_examples(self):
@@ -287,3 +296,151 @@ class TestWindowInclusion:
                 lhs = M_eps(x, A * eps)
                 rhs = N_eps(x, eps) - math.ceil(x ** (1 / A) / 2)
                 assert lhs >= rhs
+
+
+def _val(k, p):
+    """Exponent of p in k."""
+    e = 0
+    while k % p == 0:
+        k //= p
+        e += 1
+    return e
+
+
+def _brute_census(x, eps, allow_probable):
+    """Every CensusReport count, one (k, m) pair at a time."""
+    num, den = eps.numerator, eps.denominator
+
+    def largest(holds):  # largest m >= 0 with holds(m), holds monotone
+        m = 0
+        while holds(m + 1):
+            m += 1
+        return m
+
+    def counted(k, m):  # (2^m*k - 1 counts as prime, only probably prime)
+        r = arith.is_prime((k << m) - 1)
+        ok = bool(r) and (allow_probable or r.is_certified)
+        return ok, ok and not r.is_certified
+
+    ks = range(1, x + 1, 2)
+    L = largest(lambda m: 2 ** (m * den) <= x**num) - 1  # m <= eps*log2(x)
+    n_hi = largest(lambda m: 2 ** (m * den) < x**num)  # m < eps*log2(x)
+    S = {k: S_count(k, L, allow_probable) for k in ks}
+    pi_terms = tuple((l, sum(counted(k, l)[0] for k in ks))
+                     for l in range(1, L + 1))
+    certified = not any(counted(k, l)[1] for k in ks for l in range(1, L + 1))
+    N = sum(any(counted(k, m)[0] for m in range(1, n_hi + 1)) for k in ks)
+    qualifies = {}
+    m_certified = True
+    for k in ks:
+        m_hi = largest(lambda m: 2 ** (m * den) <= k**num)  # m <= eps*log2(k)
+        first = next((m for m in range(1, m_hi + 1) if counted(k, m)[0]), None)
+        qualifies[k] = first is not None
+        m_certified = m_certified and (first is None or not counted(k, first)[1])
+    closure = dict(qualifies)
+    for k in ks:
+        closure[k] = closure[k] or any(
+            k % d == 0 and closure[d] and closure[k // d]
+            for d in range(3, math.isqrt(k) + 1, 2))
+    sigma_ = sum(S.values())
+    ssq = sum(s * s for s in S.values())
+    M = sum(qualifies.values())
+    return {
+        "L": L, "sigma": sigma_, "pi_terms": pi_terms, "sum_S_squared": ssq,
+        "N": N, "M": M, "M_prime": sum(closure.values()) if x >= 3 else 0,
+        "H_lower": M + 1,
+        "cs_lower_bound": Fraction(sigma_ * sigma_, ssq) if ssq else 0,
+        "upper_curve": 2 * x * math.log2(1 + float(eps)),
+        "certified": certified and m_certified,
+        "m_detail": (list(qualifies.values()), m_certified),
+        "degenerate_flags": () if ssq else ("cs_lower_bound_zero_denominator",),
+    }
+
+
+class TestCensusTable:
+    # (2100, 5): the window reaches m = 55, so 2^m*k - 1 passes 2^64 and
+    # rows from m = 29 on reach past TABLE_SIEVE_BOUND^2; row 29 straddles
+    # it (k <= 2047 lies below, k >= 2049 above).
+    # (800, 6): the first window prime of k = 763 is 2^55*763 - 1, a probable
+    # prime, so M's certified flag turns on the first prime of a window.
+    GRID = [(2, 2), (4, 2), (100, Fraction(1, 2)), (300, 1), (500, Fraction(3, 2)),
+            (800, 6), (2100, 5)]
+
+    def test_grid_covers_the_hard_cases(self):
+        B = census.TABLE_SIEVE_BOUND
+        x, eps = self.GRID[-1]
+        rows = arith.max_m_leq(eps, x)
+        assert (x << rows) > 2**64
+        assert any((1 << m) < B * B < (x << m) for m in range(1, rows + 1))
+        # probable primes clear the certified flags
+        assert not density_report(2100, 5).certified
+        assert density_report(2100, 5, allow_probable=False).certified
+        assert not census._m_detail(800, 6)[1]
+        assert census._m_detail(800, 6, allow_probable=False)[1]
+
+    @pytest.mark.parametrize("allow_probable", [True, False])
+    @pytest.mark.parametrize("x,eps", GRID)
+    def test_report_matches_brute_force(self, x, eps, allow_probable):
+        report = density_report(x, eps, allow_probable)
+        expected = _brute_census(x, Fraction(eps), allow_probable)
+        assert census._m_detail(x, eps, allow_probable) == expected.pop("m_detail")
+        assert report.params.L == expected.pop("L")
+        for field, value in expected.items():
+            assert getattr(report, field) == value, field
+        # each public reduction builds its own table
+        assert N_eps(x, eps, allow_probable) == report.N
+        assert M_eps(x, eps, allow_probable) == report.M
+        assert property_p_census(x, eps, allow_probable) == report.M_prime
+        assert certified_H_lower(x, eps, allow_probable) == report.H_lower
+        params = CensusParams.create(x, eps)
+        if params.L >= 1:
+            assert sigma(params, allow_probable) == (report.sigma, report.pi_terms)
+            assert sum_S_squared(params, allow_probable) == report.sum_S_squared
+
+    def test_composites_past_the_sieve_bound_are_rejected(self):
+        # 2^m*k - 1 = p*q with both factors above TABLE_SIEVE_BOUND: the
+        # sieve cannot cross these out, only the survivor test can
+        B = census.TABLE_SIEVE_BOUND
+        cases = [(30, 2583, 1939169, 1430239), (30, 2657, 1234241, 2311487),
+                 (31, 1485, 1357009, 2350031), (31, 1531, 1598827, 2056381)]
+        prime, _ = census._prime_table(2657, 3)
+        for m, k, p, q in cases:
+            assert (k << m) - 1 == p * q and min(p, q) > B
+            assert not prime[m - 1, (k - 1) // 2], (m, k)
+
+    def test_closure_matches_ascending_divisor_scan(self):
+        rng = np.random.default_rng(11)
+        x = 801
+        for density in (0.02, 0.1, 0.4):
+            flags = rng.random((x + 1) // 2) < density
+            flags[0] = False  # k = 1 never qualifies
+            has = {k: bool(flags[(k - 1) // 2]) for k in range(1, x + 1, 2)}
+            for k in range(3, x + 1, 2):
+                has[k] = has[k] or any(
+                    k % d == 0 and has[d] and has[k // d]
+                    for d in range(3, math.isqrt(k) + 1, 2))
+            assert census._closure_count(flags, x) == sum(has.values())
+        # powers need more than one round of products
+        flags = np.zeros(500, dtype=bool)
+        flags[[1]] = True  # {3}: 3, 9, 27, 81, 243, 729
+        assert census._closure_count(flags, 999) == 6
+        flags[[1, 2, 3]] = True  # {3, 5, 7}: all 3^a 5^b 7^c <= 999
+        assert census._closure_count(flags, 999) == sum(
+            1 for k in range(1, 1000, 2)
+            if k > 1 and k == 3 ** _val(k, 3) * 5 ** _val(k, 5) * 7 ** _val(k, 7))
+
+    @pytest.mark.parametrize("x,eps,m,k", [
+        (100, 1, 1, 3),      # pi term from the sieve (pi_count)
+        (2000, 2, 15, 999),  # pi term from the screened enumeration
+    ])
+    def test_planted_table_fault_breaks_sigma(self, monkeypatch, x, eps, m, k):
+        build = census._prime_table
+
+        def faulty(*args, **kwargs):
+            prime, probable = build(*args, **kwargs)
+            prime[m - 1, (k - 1) // 2] ^= True
+            return prime, probable
+
+        monkeypatch.setattr(census, "_prime_table", faulty)
+        with pytest.raises(ArithmeticError, match="sigma identity"):
+            density_report(x, eps)

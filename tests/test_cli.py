@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import hadcensus
 
 from hadcensus.cli import (
     EXIT_COVERAGE_GAP,
@@ -157,3 +163,33 @@ class TestScalarCommands:
             main(["census", "--x", "4", "--epsilon", "abc"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("argv,message", [
+        (["search", "--k", "4", "--epsilon", "1"],
+         "domain error: k must be odd and positive"),
+        (["pi", "--x", "100", "--q", "0", "--a", "1"],
+         "domain error: q must be positive"),
+        (["census", "--x", "100", "--epsilon", "-1"],
+         "domain error: epsilon must be positive"),
+        (["riesel", "--cover", "4", "5"],
+         "domain error: cover element 4 is not an odd prime"),
+        (["pi", "--x", "100", "--q", "4", "--a", "3", "--segment-size", "0"],
+         "domain error: segment_size must be positive"),
+    ])
+    def test_bad_argument_exits_with_one_line(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_IO
+        assert out == ""
+        assert err == message + "\n"
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only census.I_quadrature, which no command calls
+    src = str(Path(hadcensus.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, hadcensus.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
