@@ -23,6 +23,8 @@ MAX_ORDER_DEFAULT = 1 << 16
 # so every partial sum is an exactly representable integer).
 _DENSE_VERIFY_THRESHOLD = 192
 
+_TO_PM = bytes.maketrans(b"01", b"+-")
+
 
 class PlusMinusMatrix:
     """Immutable square matrix over {+1, -1}."""
@@ -75,10 +77,13 @@ class PlusMinusMatrix:
             raise ValueError("dense input must be square")
         if not np.isin(a, (-1, 1)).all():
             raise ValueError("entries must be +-1")
-        n = a.shape[0]
-        bits = np.packbits(a == -1, axis=1, bitorder="little")
-        rows = [int.from_bytes(bits[i].tobytes(), "little") for i in range(n)]
-        return cls(n, rows)
+        return cls._from_minus(a == -1)
+
+    @classmethod
+    def _from_minus(cls, minus):
+        """Build from a square bool array, True where the entry is -1."""
+        bits = np.packbits(minus, axis=1, bitorder="little")
+        return cls(len(bits), [int.from_bytes(b.tobytes(), "little") for b in bits])
 
     def to_dense(self):
         """Dense int8 array of +-1 entries."""
@@ -158,39 +163,34 @@ def normalize(M: PlusMinusMatrix) -> PlusMinusMatrix:
 
 
 def write_matrix(M: PlusMinusMatrix, path):
-    """Write the `.pm` text form: order line, then n rows of '+'/'-'."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{M.n}\n")
-        for r in M.rows:
-            fh.write("".join("-" if (r >> j) & 1 else "+" for j in range(M.n)))
-            fh.write("\n")
+    """Write the `.pm` text form: order line, then rows of '+'/'-', bit 0 first."""
+    with open(path, "wb") as fh:
+        fh.write(b"%d\n" % M.n)
+        fh.writelines(format(r, f"0{M.n}b").encode()[::-1].translate(_TO_PM) + b"\n"
+                      for r in M.rows)
 
 
 def read_matrix(path) -> PlusMinusMatrix:
     """Parse a `.pm` file; raises PmParseError with the offending line."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        lines = fh.read().split("\n")
-    if not lines or not lines[0]:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.split(b"\n")
+    header = lines[0]
+    if not header:
         raise PmParseError("missing order header", 1)
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise PmParseError(f"bad order header {lines[0]!r}", 1) from None
+    if not header.isdigit() or len(header) > 18:  # int() refuses 4301 digits
+        raise PmParseError(f"bad order header {repr(header)[1:]}", 1)  # drop repr's b
+    n = int(header)
     if n < 1:
         raise PmParseError("order must be positive", 1)
-    if len(lines) < n + 2 or lines[n + 1 :] != [""] * (len(lines) - n - 1):
-        raise PmParseError(
-            f"expected {n} rows plus trailing newline", min(len(lines), n + 1)
-        )
-    rows = []
+    if len(lines) < n + 2 or lines[n + 1 :] != [b""] * (len(lines) - n - 1):
+        raise PmParseError(f"expected {n} rows plus trailing newline",
+                           min(len(lines), n + 1))
     for i, line in enumerate(lines[1 : n + 1], start=2):
         if len(line) != n:
             raise PmParseError(f"row length {len(line)} != order {n}", i)
-        row = 0
-        for j, ch in enumerate(line):
-            if ch == "-":
-                row |= 1 << j
-            elif ch != "+":
-                raise PmParseError(f"invalid character {ch!r}", i)
-        rows.append(row)
-    return PlusMinusMatrix(n, rows)
+        if bad := line.translate(None, b"+-"):  # what is left is not + or -
+            raise PmParseError(f"invalid character {repr(bad[:1])[1:]}", i)
+    # The rows are now n lines of n bytes and a newline each, after the header.
+    grid = np.frombuffer(data, np.uint8, n * (n + 1), len(header) + 1)
+    return PlusMinusMatrix._from_minus(grid.reshape(n, n + 1)[:, :n] == ord("-"))

@@ -69,6 +69,14 @@ class TestBuildVerify:
         assert code == EXIT_IO
         assert "parse error" in err
 
+    def test_verify_non_ascii_byte(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pm"
+        bad.write_bytes(b"2\n+\xff\n+-\n")
+        code, out, err = run(["verify", str(bad)], capsys)
+        assert code == EXIT_IO
+        assert out == ""
+        assert err == "parse error: line 2: invalid character '\\xff'\n"
+
     def test_build_no_prime_in_window(self, capsys):
         code, _, err = run(["build", "--k", "509203", "--epsilon", "1/2"],
                            capsys)

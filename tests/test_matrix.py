@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadcensus import construct
 from hadcensus.errors import PmParseError, SizeError
@@ -116,7 +118,9 @@ def test_normalize_random_hadamard():
 
 def test_pm_round_trip(tmp_path):
     path = tmp_path / "s4.pm"
-    for M in (construct.sylvester(2), construct.paley_II(5), H1):
+    # Orders 4020 and 2020: a per-entry loop would take seconds here.
+    for M in (construct.sylvester(2), construct.paley_II(5), H1,
+              construct.paley_I(4019), construct.paley_II(1009)):
         write_matrix(M, path)
         assert read_matrix(path) == M
 
@@ -133,23 +137,73 @@ def test_pm_order_one(tmp_path):
     assert read_matrix(path) == H1
 
 
+def reference_pm(M):
+    """The `.pm` bytes of M, spelled one entry at a time."""
+    rows = ["".join("-" if (r >> j) & 1 else "+" for j in range(M.n))
+            for r in M.rows]
+    return "".join(f"{line}\n" for line in [str(M.n)] + rows).encode("ascii")
+
+
+@st.composite
+def pm_matrices(draw):
+    n = draw(st.sampled_from((1, 7, 8, 9, 63, 64, 65, 130)))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return PlusMinusMatrix(n, rows)
+
+
+@given(pm_matrices())
+@settings(max_examples=60)
+def test_pm_format_matches_reference(tmp_path_factory, M):
+    path = tmp_path_factory.mktemp("pm") / "m.pm"
+    write_matrix(M, path)
+    assert path.read_bytes() == reference_pm(M)
+    assert read_matrix(path) == M
+
+
 @pytest.mark.parametrize(
     "content,line",
     [
-        ("2\n++\n+\n", 3),        # ragged row
-        ("2\n++-\n+-\n", 2),      # row longer than order
-        ("x\n++\n+-\n", 1),       # bad header
-        ("2\n+*\n+-\n", 2),       # bad character
-        ("2\n++\n", 3),           # missing row
-        ("2\n++\n+-", 3),         # missing trailing newline
+        (b"2\n++\n+\n", 3),        # ragged row
+        (b"2\n++-\n+-\n", 2),      # row longer than order
+        (b"x\n++\n+-\n", 1),       # bad header
+        (b"2\n+*\n+-\n", 2),       # bad character
+        (b"2\n++\n", 3),           # missing row
+        (b"2\n++\n+-", 3),         # missing trailing newline
+        (b"2\n+\xff\n+-\n", 2),    # byte outside ASCII
+        (b" 2\n++\n+-\n", 1),      # header: space
+        (b"+2\n++\n+-\n", 1),      # header: sign
+        (b"1_0\n", 1),             # header: digit separator
+        (b"2\r\n++\r\n+-\r\n", 1),  # CRLF: the header ends in \r
+        pytest.param(b"0" * 4300 + b"1\n+\n", 1,  # past int()'s digit limit
+                     id="4301-digit-header"),
     ],
 )
 def test_pm_parse_errors(tmp_path, content, line):
     path = tmp_path / "bad.pm"
-    path.write_text(content)
+    path.write_bytes(content)
     with pytest.raises(PmParseError) as err:
         read_matrix(path)
     assert err.value.line == line
+
+
+def test_pm_fault_order(tmp_path):
+    # One file with five faults, mended one at a time: the row count and
+    # trailing newline are checked first, then rows in order, each for its
+    # length before its characters, naming the first bad character.
+    path = tmp_path / "faults.pm"
+    steps = [
+        (b"3\n*?\n++x\n+++\n++", 4, "expected 3 rows plus trailing newline"),
+        (b"3\n*?\n++x\n+++\n", 2, "row length 2 != order 3"),
+        (b"3\n*?-\n++x\n+++\n", 2, "invalid character '*'"),
+        (b"3\n+--\n++x\n+++\n", 3, "invalid character 'x'"),
+    ]
+    for content, line, message in steps:
+        path.write_bytes(content)
+        with pytest.raises(PmParseError) as err:
+            read_matrix(path)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+    path.write_bytes(b"3\n+--\n++-\n+++\n")
+    assert read_matrix(path) == PlusMinusMatrix(3, [0b110, 0b100, 0])
 
 
 def test_immutability():
