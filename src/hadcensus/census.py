@@ -10,7 +10,9 @@ A census sieves one table of prime flags for 2^m*k - 1 (_prime_table);
 S, sum S^2, N, M, M' and the certified flag are reductions of it.  The
 sigma identity checks it per l against pi_count's sieve over all integers
 when 2^l*x <= PI_SIEVE_LIMIT, else against a small-prime screen of the
-progression with a primality test on every survivor.
+progression with a primality test on every survivor.  pi_count sieves
+odd integers only and counts a class as a strided slice; psi's two routes
+share no table.  Past TABLE_BYTES_MAX / PSI_MAX_X, nothing is built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
 With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
@@ -36,9 +38,11 @@ from .errors import DomainError, WindowError
 # above it the progression is enumerated and each member primality-tested.
 PI_SIEVE_LIMIT = 10**7
 SEGMENT_SIZE_DEFAULT = 1 << 20
+PSI_MAX_X = 10**8  # psi's int32 spf and bool prime tables take ~5*x bytes
 # Census table rows sieve with odd primes up to this; past its square,
 # their survivors are tested one by one.
 TABLE_SIEVE_BOUND = 1 << 20
+TABLE_BYTES_MAX = 1 << 28  # budget for _prime_table's 2*rows*(x+1)//2 bytes
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,9 @@ def _prime_table(x, epsilon, allow_probable=True):
     """
     rows = arith.max_m_leq(epsilon, x)  # >= max_m_lt(epsilon, x): N's window
     nk = (x + 1) // 2
+    if 2 * rows * nk > TABLE_BYTES_MAX:
+        raise DomainError(f"census table for x = {x} needs {2 * rows * nk} "
+                          f"bytes, over the budget of {TABLE_BYTES_MAX}")
     prime = np.ones((rows, nk), dtype=bool)
     probable = np.zeros((rows, nk), dtype=bool)
     prime[:1, :1] = False  # 2*1 - 1 = 1
@@ -299,37 +306,47 @@ def _prime_flags(limit):
 
 
 def _progression_hits(limit, q, a, segment_size):
-    """(lo, hits) per segment of 2..limit: hits[i] when lo + i is a prime
-    congruent to a mod q."""
+    """(n, step, hits) for 2, then per segment of 2..limit: hits[j] when
+    n + j*step is a prime congruent to a mod q.  A segment sieves its odd
+    integers o + 2i only; the class's odd members, r mod lcm(2, q), are a
+    strided slice of them."""
     if q < 1:
         raise DomainError("q must be positive")
     if segment_size < 1:
         raise DomainError("segment_size must be positive")
-    base = np.nonzero(_prime_flags(math.isqrt(max(limit, 0))))[0]
+    if limit >= 2 and (2 - a) % q == 0:
+        yield 2, 1, np.ones(1, dtype=bool)
+    r = a % q + q * (a % q % 2 == 0)
+    if r % 2 == 0:  # q and a even: no odd member
+        return
+    period = q * 2 // math.gcd(2, q)
+    base = np.flatnonzero(_prime_flags(math.isqrt(max(limit, 0))))[1:]
     for lo in range(2, limit + 1, segment_size):
         hi = min(lo + segment_size - 1, limit)
-        flags = np.ones(hi - lo + 1, dtype=bool)
-        for p in base[base * base <= hi].tolist():
-            flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
-        vals = np.arange(lo, hi + 1, dtype=np.int64)
-        yield lo, flags & (vals % q == a % q)
+        o = lo | 1
+        flags = np.ones((hi - o) // 2 + 1, dtype=bool)
+        p = base[: np.searchsorted(base, math.isqrt(hi), side="right")]
+        # first i with o + 2i = 0 (mod p), or the i of p^2 if that is later
+        starts = np.maximum((p * p - o) // 2, -o * (p + 1) // 2 % p)
+        for start, step in zip(starts.tolist(), p.tolist()):
+            flags[start::step] = False
+        i0 = (r - o) % period // 2
+        yield o + 2 * i0, period, flags[i0 :: period // 2]
 
 
 def pi_count(x, q, a, segment_size=SEGMENT_SIZE_DEFAULT):
     """Primes p <= x with p = a (mod q), by segmented sieve."""
     return sum(int(np.count_nonzero(hits))
-               for _, hits in _progression_hits(x, q, a, segment_size))
+               for _, _, hits in _progression_hits(x, q, a, segment_size))
 
 
 def pi_prefix(limit, q, a, segment_size=SEGMENT_SIZE_DEFAULT):
     """Array c with c[x] = pi_count(x, q, a) for every x in 0..limit,
     built from the same segmented machinery."""
-    out = np.zeros(limit + 1, dtype=np.int64)
-    running = 0
-    for lo, hits in _progression_hits(limit, q, a, segment_size):
-        out[lo : lo + hits.size] = running + np.cumsum(hits)
-        running = int(out[lo + hits.size - 1])
-    return out
+    marks = np.zeros(limit + 1, dtype=bool)
+    for n, step, hits in _progression_hits(limit, q, a, segment_size):
+        marks[n : n + step * hits.size : step] = hits
+    return np.cumsum(marks, dtype=np.int64)
 
 
 # --- the logarithmic integral and its sandwich -------------------------------
@@ -390,15 +407,18 @@ def mangoldt(k):
 
 @lru_cache(maxsize=4)
 def _spf(limit):
-    """Smallest prime factor for 0..limit (0 for 0 and 1)."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
+    """Smallest prime factor for 0..limit (0 for 0 and 1), as int32: each
+    prime p <= isqrt(limit), read off _spf(isqrt(limit)), writes itself
+    over its multiples from p^2 on, largest first, so the smallest wins."""
+    root = math.isqrt(limit)
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    if root >= 2:
+        primes = np.flatnonzero(_spf(root)[2:] == np.arange(2, root + 1)) + 2
+        for p in primes[::-1].tolist():
+            spf[p * p :: p] = p
     unset = spf == 0
     unset[:2] = False
-    spf[unset] = np.nonzero(unset)[0]
+    spf[unset] = np.flatnonzero(unset)
     return spf
 
 
@@ -407,6 +427,8 @@ def psi_paths(x, q, a):
     per-k von Mangoldt summation and prime-power enumeration."""
     if q < 1:
         raise DomainError("q must be positive")
+    if x > PSI_MAX_X:
+        raise DomainError(f"x = {x} exceeds the psi limit {PSI_MAX_X}")
     a %= q
     if x < 1:
         return 0.0, 0.0
@@ -414,24 +436,20 @@ def psi_paths(x, q, a):
     # factor reduction (k is a prime power iff dividing out spf reaches 1).
     spf = _spf(x)
     start = a if a >= 2 else a + q * ((2 - a + q - 1) // q)
-    ks = np.arange(start, x + 1, q, dtype=np.int64)
-    direct = 0.0
-    if ks.size:
-        p = spf[ks]
-        w = ks.copy()
-        for _ in range(int(x).bit_length()):
-            div = (w > 1) & (w % p == 0)
-            if not div.any():
-                break
-            w = np.where(div, w // p, w)
-        pp = w == 1
-        direct = float(np.log(p[pp].astype(np.float64)).sum())
+    ks = np.arange(start, x + 1, q, dtype=np.int32)
+    p = spf[ks]
+    w = ks // p
+    idx = np.flatnonzero(w % p == 0)
+    while idx.size:
+        w[idx] //= p[idx]
+        idx = idx[w[idx] % p[idx] == 0]
+    direct = float(np.log(p[w == 1].astype(np.float64)).sum())
     # Route 2: enumerate primes and their powers, filter by residue.
-    total = 0.0
-    for prime in np.nonzero(_prime_flags(x))[0]:
-        prime = int(prime)
+    primes = np.flatnonzero(_prime_flags(x))
+    total = float(np.log(primes[primes % q == a].astype(np.float64)).sum())
+    for prime in primes[primes <= math.isqrt(x)].tolist():
         logp = math.log(prime)
-        pk = prime
+        pk = prime * prime
         while pk <= x:
             if pk % q == a:
                 total += logp
@@ -457,8 +475,8 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     """All census statistics for (x, epsilon) in one report."""
     params = CensusParams.create(x, epsilon)
     params.require_window()
-    terms = _pi_terms(params, allow_probable)
     prime, probable = _prime_table(x, params.epsilon, allow_probable)
+    terms = _pi_terms(params, allow_probable)
     S = prime[: params.L].sum(axis=0)
     s_sum = int(S.sum())
     pi_sum = sum(c for _, c in terms)

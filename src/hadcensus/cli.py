@@ -2,7 +2,7 @@
 
 Subcommands: build, verify, search, census, riesel, pi, psi.
 Exit codes: 0 success, 1 I/O, parse or domain failure (an argument out of
-range, an empty census window), 2 prime search exhausted, 3 verification
+range, an input past a size cap, an empty census window), 2 prime search exhausted, 3 verification
 failure, 4 covering gap.
 """
 
@@ -176,7 +176,8 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--segment-size", type=int,
-                   default=census.SEGMENT_SIZE_DEFAULT)
+                   default=census.SEGMENT_SIZE_DEFAULT,
+                   help="integers per sieve segment (default %(default)s)")
     p.set_defaults(func=cmd_pi)
 
     p = sub.add_parser("psi", help="Chebyshev psi(x; q, a)")

@@ -43,6 +43,24 @@ def trial_division_prime(n):
     return True
 
 
+def brute_mangoldt(k):
+    """log p when k = p^j by trial division, else 0 (also for k < 2)."""
+    if k < 2:
+        return 0.0
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    while k % p == 0:
+        k //= p
+    return math.log(p) if k == 1 else 0.0
+
+
+NAIVE_LIMIT = 600
+NAIVE_FLAGS = [trial_division_prime(n) for n in range(NAIVE_LIMIT + 1)]
+# classes holding 2, odd q, negative a and a >= q
+CLASSES = st.sampled_from([(2, 0), (4, 2), (1, 0)]) | st.tuples(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=-30, max_value=40))
+
+
 class TestSCount:
     def test_examples(self):
         assert S_count(3, 3) == 3  # 5, 11, 23
@@ -185,6 +203,31 @@ class TestPiCount:
         with pytest.raises(DomainError):
             pi_prefix(100, 4, 3, segment_size=-1)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_count(self, data):
+        q, a = data.draw(CLASSES, label="q, a")
+        seg = data.draw(st.integers(min_value=1, max_value=9), label="segment")
+        # segments run 2 + n*seg .. 1 + (n+1)*seg; draw x at their edges too
+        n = data.draw(st.integers(min_value=0, max_value=NAIVE_LIMIT // seg - 1))
+        x = data.draw(st.sampled_from([1 + n * seg, 2 + n * seg])
+                      | st.integers(min_value=-2, max_value=NAIVE_LIMIT), label="x")
+        hits = [NAIVE_FLAGS[k] and (k - a) % q == 0 for k in range(max(x + 1, 0))]
+        naive = np.cumsum(hits, dtype=np.int64)
+        assert pi_count(x, q, a, segment_size=seg) == (naive[-1] if x >= 0 else 0)
+        if x >= -1:
+            pref = pi_prefix(x, q, a, segment_size=seg)
+            assert pref.dtype == np.int64
+            assert np.array_equal(pref, naive)
+
+    @pytest.mark.parametrize("l,count", [
+        (1, 2880504), (2, 1440544), (3, 720456),
+        (4, 359962), (5, 179951), (6, 90049),
+    ])
+    def test_workload_scale_values(self, l, count):
+        # pi(10^8; 2^(l+1), 2^l - 1) as the sieve over every integer gave it
+        assert pi_count(10**8, 2 ** (l + 1), 2**l - 1) == count
+
 
 class TestIntegral:
     def test_examples(self):
@@ -251,6 +294,55 @@ class TestPsi:
         x, q, a = 300, 4, 1
         expected = sum(mangoldt(k)[1] for k in range(1, x + 1) if k % q == a)
         assert psi(x, q, a) == pytest.approx(expected, rel=1e-12)
+
+    def test_each_route_against_brute_force(self):
+        lam = [brute_mangoldt(k) for k in range(5001)]
+        for x in (1, 2, 3, 4, 30, 961, 5000):
+            for q in range(1, 9):
+                for a in range(q):  # every class, coprime to q or not
+                    expected = math.fsum(lam[a : x + 1 : q])
+                    direct, enumerated = psi_paths(x, q, a)
+                    assert direct == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                    assert enumerated == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_spf_against_trial_division(self):
+        for limit in (0, 1, 2, 3, 4, 8, 9, 25, 5000):
+            spf = census._spf(limit)
+            assert spf.dtype == np.int32
+            expected = [0, 0][: limit + 1] + [
+                next(d for d in range(2, k + 1) if k % d == 0)
+                for k in range(2, limit + 1)]
+            assert spf.tolist() == expected
+
+    def test_routes_share_no_table(self, monkeypatch):
+        x, q, a = 1000, 4, 1
+        direct, enumerated = psi_paths(x, q, a)
+        flags = census._prime_flags(x).copy()
+        flags[13] = False  # 13 = 1 mod 4
+        monkeypatch.setattr(census, "_prime_flags", lambda limit: flags)
+        d, e = psi_paths(x, q, a)
+        assert d == direct and e != pytest.approx(enumerated, rel=1e-9)
+
+    @pytest.mark.parametrize("k,wrong", [(13, 7), (25, 3), (9, 7)])
+    def test_planted_spf_fault_breaks_psi(self, monkeypatch, k, wrong):
+        x, q, a = 1000, 4, 1
+        enumerated = psi_paths(x, q, a)[1]
+        spf = census._spf(x).copy()
+        spf[k] = wrong
+        monkeypatch.setattr(census, "_spf", lambda limit: spf)
+        assert psi_paths(x, q, a)[1] == enumerated
+        with pytest.raises(ArithmeticError, match="psi paths disagree"):
+            psi(x, q, a)
+
+    def test_size_cap(self, monkeypatch):
+        def no_table(limit):
+            raise AssertionError("a table was built past the cap")
+
+        monkeypatch.setattr(census, "_spf", no_table)
+        monkeypatch.setattr(census, "_prime_flags", no_table)
+        assert census.PSI_MAX_X < 2**31
+        with pytest.raises(DomainError, match="exceeds the psi limit"):
+            psi(census.PSI_MAX_X + 1, 4, 1)
 
 
 class TestDensityReport:
@@ -444,3 +536,17 @@ class TestCensusTable:
         monkeypatch.setattr(census, "_prime_table", faulty)
         with pytest.raises(ArithmeticError, match="sigma identity"):
             density_report(x, eps)
+
+    def test_table_budget(self, monkeypatch):
+        def table_bytes(x, eps):
+            return 2 * arith.max_m_leq(Fraction(eps), x) * ((x + 1) // 2)
+
+        # the benchmark's census sizes stay far below the budget
+        for x, eps in ((10**5 + 1000, 1), (10**4 + 1000, 5)):
+            assert 100 * table_bytes(x, eps) < census.TABLE_BYTES_MAX
+        assert table_bytes(10**9, 1) > census.TABLE_BYTES_MAX
+        monkeypatch.setattr(census, "_pi_terms", None)  # refused before this
+        with pytest.raises(DomainError, match="over the budget"):
+            density_report(10**9, 1)
+        with pytest.raises(DomainError, match="over the budget"):
+            N_eps(10**9, 1)

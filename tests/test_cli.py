@@ -166,6 +166,13 @@ class TestScalarCommands:
         assert code == EXIT_OK
         assert float(out) == pytest.approx(math.log(315), rel=1e-9)
 
+    @pytest.mark.parametrize("a,printed", [(1, "4999334.18\n"), (3, "4999189.28\n")])
+    def test_psi_workload_scale(self, a, printed, capsys):
+        code, out, _ = run(["psi", "--x", "10000000", "--q", "4", "--a", str(a)],
+                           capsys)
+        assert code == EXIT_OK
+        assert out == printed
+
     def test_bad_fraction_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["census", "--x", "4", "--epsilon", "abc"])
@@ -185,6 +192,11 @@ class TestErrorExits:
          "domain error: cover element 4 is not an odd prime"),
         (["pi", "--x", "100", "--q", "4", "--a", "3", "--segment-size", "0"],
          "domain error: segment_size must be positive"),
+        (["psi", "--x", "100000001", "--q", "4", "--a", "1"],
+         "domain error: x = 100000001 exceeds the psi limit 100000000"),
+        (["census", "--x", "1000000000", "--epsilon", "1"],
+         "domain error: census table for x = 1000000000 needs 29000000000 "
+         "bytes, over the budget of 268435456"),
     ])
     def test_bad_argument_exits_with_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
