@@ -235,6 +235,18 @@ def totient(q):
 #
 # Window membership tests of the form m <= eps*log2(k) are decided in exact
 # integer arithmetic: with eps = num/den, the condition is 2^(m*den) <= k^num.
+# k^num is refused past POWER_BITS_MAX bits (eps = 1e300 would need ~10^300).
+POWER_BITS_MAX = 1 << 24
+
+
+def _window_epsilon(epsilon, k):
+    """epsilon as a positive Fraction whose k^numerator fits POWER_BITS_MAX."""
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise DomainError("epsilon must be positive")
+    if eps.numerator * k.bit_length() > POWER_BITS_MAX:
+        raise DomainError(f"epsilon too large: k^numerator over {POWER_BITS_MAX} bits")
+    return eps
 
 
 def max_m_leq(epsilon: Fraction, k):
@@ -242,9 +254,7 @@ def max_m_leq(epsilon: Fraction, k):
     floor(epsilon*log2(k)).  k >= 1."""
     if k < 1:
         raise DomainError("k must be positive")
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise DomainError("epsilon must be positive")
+    eps = _window_epsilon(epsilon, k)
     # 2^(m*den) <= k^num  <=>  m*den <= bit_length(k^num) - 1
     return ((k**eps.numerator).bit_length() - 1) // eps.denominator
 
@@ -253,9 +263,7 @@ def max_m_lt(epsilon: Fraction, x):
     """Largest integer m >= 0 with m < epsilon*log2(x) (strict); x >= 1."""
     if x < 1:
         raise DomainError("x must be positive")
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise DomainError("epsilon must be positive")
+    eps = _window_epsilon(epsilon, x)
     # 2^(m*den) < x^num  <=>  m*den <= bit_length(x^num - 1) - 1
     target = x**eps.numerator
     return 0 if target == 1 else ((target - 1).bit_length() - 1) // eps.denominator

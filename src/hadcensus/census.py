@@ -42,7 +42,7 @@ PSI_MAX_X = 10**8  # psi's int32 spf and bool prime tables take ~5*x bytes
 # Census table rows sieve with odd primes up to this; past its square,
 # their survivors are tested one by one.
 TABLE_SIEVE_BOUND = 1 << 20
-TABLE_BYTES_MAX = 1 << 28  # budget for _prime_table's 2*rows*(x+1)//2 bytes
+TABLE_BYTES_MAX = 1 << 28  # bytes: _prime_table (2*rows*(x+1)//2), pi sieve
 
 
 @dataclass(frozen=True)
@@ -314,13 +314,16 @@ def _progression_hits(limit, q, a, segment_size):
         raise DomainError("q must be positive")
     if segment_size < 1:
         raise DomainError("segment_size must be positive")
+    root = math.isqrt(max(limit, 0))  # base primes' table, then one segment
+    if root + min(segment_size, limit) // 2 > TABLE_BYTES_MAX:
+        raise DomainError(f"pi sieve for x = {limit} exceeds {TABLE_BYTES_MAX} bytes")
     if limit >= 2 and (2 - a) % q == 0:
         yield 2, 1, np.ones(1, dtype=bool)
     r = a % q + q * (a % q % 2 == 0)
     if r % 2 == 0:  # q and a even: no odd member
         return
     period = q * 2 // math.gcd(2, q)
-    base = np.flatnonzero(_prime_flags(math.isqrt(max(limit, 0))))[1:]
+    base = np.flatnonzero(_prime_flags(root))[1:]
     for lo in range(2, limit + 1, segment_size):
         hi = min(lo + segment_size - 1, limit)
         o = lo | 1
@@ -479,11 +482,10 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     terms = _pi_terms(params, allow_probable)
     S = prime[: params.L].sum(axis=0)
     s_sum = int(S.sum())
-    pi_sum = sum(c for _, c in terms)
-    if s_sum != pi_sum:
-        raise ArithmeticError(
-            f"sigma identity violated: direct {s_sum} != pi-sum {pi_sum}"
-        )
+    for (l, count), direct in zip(terms, prime[: params.L].sum(axis=1).tolist()):
+        if direct != count:
+            raise ArithmeticError(
+                f"sigma identity violated at l = {l}: direct {direct} != pi {count}")
     s_sq = int((S * S).sum())
     flags_m, cert_m = _m_window(prime, probable, params.epsilon, x)
     n_count = int(prime[: arith.max_m_lt(params.epsilon, x)].any(axis=0).sum())

@@ -3,6 +3,16 @@
 Encoding: each row is a Python int used as a bit vector; bit j set means
 entry -1, clear means +1.  An all-+1 row is the integer 0, so dot products
 reduce to popcounts: row_i . row_j = n - 2*popcount(row_i XOR row_j).
+
+is_hadamard has one exact path per matrix shape.  Paley I shape: row 0 and
+column 0 all +1 and, with c_i the core (bits 1..q, q = n - 1) of row i + 1,
+c_(i+1) is c_i rotated left one place within q bits, as construct.paley_I
+builds it.  Then c_i = rot^i(c_0); rotation keeps popcounts, so for i < j
+popcount(c_i XOR c_j) = popcount(c_0 XOR c_(j-i)), and row 0 meets row i + 1
+in popcount(c_i) = popcount(c_0).  So H*H^T = n*I iff row 1 meets every
+other row in exactly n/2 places: O(n) exact big-int operations.  Every other
+matrix takes a blocked float32 Gram product, exact because the entries are
++-1 and n < 2^24, so every partial sum is an integer float32 holds exactly.
 """
 
 from __future__ import annotations
@@ -11,17 +21,7 @@ import numpy as np
 
 from .errors import PmParseError, SizeError
 
-try:
-    from . import _bitgram
-except ImportError:  # compiled kernel is optional
-    _bitgram = None
-
 MAX_ORDER_DEFAULT = 1 << 16
-
-# Above this order the verifier switches from per-pair popcounts to an
-# exact blocked float32 Gram computation (entries are +-1 and n < 2^24,
-# so every partial sum is an exactly representable integer).
-_DENSE_VERIFY_THRESHOLD = 192
 
 _TO_PM = bytes.maketrans(b"01", b"+-")
 
@@ -96,36 +96,36 @@ class PlusMinusMatrix:
 
 
 def is_hadamard(M: PlusMinusMatrix) -> bool:
-    """True iff M * M^T = n * I."""
+    """True iff M * M^T = n * I: rotation check for Paley I shape, else Gram."""
+    verdict = _paley_I_verdict(M)
+    return _gram_verdict(M) if verdict is None else verdict
+
+
+def _paley_I_verdict(M: PlusMinusMatrix):
+    """Rotation-check verdict for Paley I shape (module docstring), else None."""
+    n, rows = M.n, M.rows
+    q = n - 1
+    if q < 1 or rows[0] or any(r & 1 for r in rows):
+        return None
+    mask = (1 << q) - 1
+    core = [r >> 1 for r in rows[1:]]
+    if any(b != ((a << 1) | (a >> (q - 1))) & mask for a, b in zip(core, core[1:])):
+        return None
+    return all(2 * (rows[1] ^ r).bit_count() == n for r in rows[:1] + rows[2:])
+
+
+def _gram_verdict(M: PlusMinusMatrix) -> bool:
+    """True iff M * M^T = n * I, by blocked float32 Gram products."""
     n = M.n
-    if n <= _DENSE_VERIFY_THRESHOLD:
-        rows = M.rows
-        half = n // 2
-        if n > 1 and n % 2:
-            return False
-        for i in range(n):
-            ri = rows[i]
-            for j in range(i + 1, n):
-                if (ri ^ rows[j]).bit_count() != half:
-                    return False
-        return True
-    if n % 4:
+    if n > 2 and n % 4:
         return False
-    if _bitgram is not None:
-        w = (n + 63) // 64
-        nbytes = w * 8
-        buf = b"".join(r.to_bytes(nbytes, "little") for r in M.rows)
-        return bool(_bitgram.all_pairs_half(buf, n, w))
     dense = M.to_dense().astype(np.float32)
-    # The Gram matrix is symmetric, so checking blocks of the upper
-    # triangle (columns >= lo) covers every row pair once.
+    # The Gram matrix is symmetric: its upper triangle covers every row pair.
     block = max(256, (1 << 27) // n)
     for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        gram = dense[lo:hi] @ dense[lo:].T
-        expected = np.zeros_like(gram)
-        expected[np.arange(hi - lo), np.arange(hi - lo)] = n
-        if not np.array_equal(gram, expected):
+        gram = dense[lo : lo + block] @ dense[lo:].T
+        gram[np.diag_indices(len(gram))] -= n  # gram[i, i] is row lo + i with itself
+        if gram.any():
             return False
     return True
 

@@ -537,6 +537,26 @@ class TestCensusTable:
         with pytest.raises(ArithmeticError, match="sigma identity"):
             density_report(x, eps)
 
+    @pytest.mark.parametrize("x,eps,lost,gained", [
+        (100, 1, 1, 2),     # pi terms from the sieve (pi_count)
+        (2000, 2, 14, 15),  # pi terms from the screened enumeration
+    ])
+    def test_compensating_table_faults_break_sigma(self, monkeypatch, x, eps,
+                                                   lost, gained):
+        # One prime moved from row `lost` to row `gained`: the sum over l
+        # still matches, so only the per-l comparison can see it.
+        build = census._prime_table
+
+        def faulty(*args, **kwargs):
+            prime, probable = build(*args, **kwargs)
+            prime[lost - 1, np.flatnonzero(prime[lost - 1])[0]] = False
+            prime[gained - 1, np.flatnonzero(~prime[gained - 1])[0]] = True
+            return prime, probable
+
+        monkeypatch.setattr(census, "_prime_table", faulty)
+        with pytest.raises(ArithmeticError, match=f"sigma identity violated at l = {lost}:"):
+            density_report(x, eps)
+
     def test_table_budget(self, monkeypatch):
         def table_bytes(x, eps):
             return 2 * arith.max_m_leq(Fraction(eps), x) * ((x + 1) // 2)

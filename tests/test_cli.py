@@ -11,6 +11,7 @@ import pytest
 
 import hadcensus
 
+from hadcensus import census
 from hadcensus.cli import (
     EXIT_COVERAGE_GAP,
     EXIT_IO,
@@ -197,12 +198,33 @@ class TestErrorExits:
         (["census", "--x", "1000000000", "--epsilon", "1"],
          "domain error: census table for x = 1000000000 needs 29000000000 "
          "bytes, over the budget of 268435456"),
+        (["search", "--k", "5", "--epsilon", "1e300"],
+         "domain error: epsilon too large: k^numerator over 16777216 bits"),
+        (["census", "--x", "5", "--epsilon", "1000000000001/1000000000000"],
+         "domain error: epsilon too large: k^numerator over 16777216 bits"),
     ])
     def test_bad_argument_exits_with_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
         assert code == EXIT_IO
         assert out == ""
         assert err == message + "\n"
+
+    @pytest.mark.parametrize("x,extra", [
+        (10**20, []),                                 # the base-prime table
+        (10**12, ["--segment-size", str(10**12)]),    # one segment
+    ])
+    def test_pi_sieve_budget(self, x, extra, monkeypatch, capsys):
+        def no_table(limit):
+            raise AssertionError("a table was built past the budget")
+
+        # the benchmark's pi inputs stay far below the budget
+        assert 100 * (math.isqrt(10**8) + census.SEGMENT_SIZE_DEFAULT // 2) \
+            < census.TABLE_BYTES_MAX
+        monkeypatch.setattr(census, "_prime_flags", no_table)
+        code, out, err = run(["pi", "--x", str(x), "--q", "4", "--a", "3"] + extra,
+                             capsys)
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"domain error: pi sieve for x = {x} exceeds 268435456 bytes\n"
 
 
 def test_import_does_not_load_scipy():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadcensus import construct
+from hadcensus import arith, construct, matrix
+from hadcensus.cli import EXIT_OK, main
 from hadcensus.errors import PmParseError, SizeError
 from hadcensus.matrix import (
     PlusMinusMatrix,
@@ -45,13 +46,92 @@ def test_packed_dot_matches_naive():
                 assert M.row_dot(i, j) == int(dense[i] @ dense[j])
 
 
-def test_dense_verifier_agrees_with_popcount_path():
-    # exercise the large-n code path against the per-pair definition
-    M = construct.paley_I(211)  # order 212 > threshold
+def test_paley_I_and_one_flipped_entry():
+    M = construct.paley_I(211)
     assert is_hadamard(M)
     rows = list(M.rows)
     rows[7] ^= 1 << 100
     assert not is_hadamard(PlusMinusMatrix(M.n, rows))
+
+
+PALEY_I_PRIMES = [q for q in range(3, 2000, 4) if arith.is_prime(q)]
+
+
+def bordered_circulant(pattern, q):
+    """Row 0 and column 0 all +1, core row i the left rotation of pattern
+    by i within q bits: the shape construct.paley_I builds."""
+    mask = (1 << q) - 1
+    return PlusMinusMatrix(q + 1, [0] + [
+        (((pattern << i) | (pattern >> (q - i))) & mask) << 1 for i in range(q)])
+
+
+def test_rotation_check_agrees_with_gram():
+    for q in PALEY_I_PRIMES:
+        M = construct.paley_I(q)
+        assert M == bordered_circulant(M.rows[1] >> 1, q)
+        assert matrix._paley_I_verdict(M) is True, q
+        assert matrix._gram_verdict(M), q
+
+
+def test_rotation_check_rejects_shape_keeping_faults():
+    # Swap a -1 and a +1 of the core pattern and rotate it as before: the
+    # matrix keeps its shape and row 1 its popcount, so only the pair
+    # popcounts can reject it.  (At q = 7 some swaps give another
+    # Hadamard matrix; from q = 11 on, none does.)
+    rng = np.random.default_rng(6)
+    for q in PALEY_I_PRIMES[2::5]:
+        pattern = construct.paley_I(q).rows[1] >> 1
+        bits = [(pattern >> d) & 1 for d in range(q)]
+        swap = (1 << int(rng.choice(np.flatnonzero(bits)))) | (
+            1 << int(rng.choice(np.flatnonzero(np.logical_not(bits)))))
+        # the complement keeps every pair apart in n/2 places but row 0
+        for fault in (pattern ^ swap, pattern ^ ((1 << q) - 1)):
+            M = bordered_circulant(fault, q)
+            assert matrix._paley_I_verdict(M) is False, q
+            assert not matrix._gram_verdict(M), q
+
+
+@pytest.mark.parametrize("i,j", [(5, 9), (0, 9), (5, 0)],
+                         ids=["core", "border-row", "border-column"])
+def test_shape_breaking_faults_go_to_gram(i, j):
+    M = construct.paley_I(43)
+    rows = list(M.rows)
+    rows[i] ^= 1 << j
+    F = PlusMinusMatrix(M.n, rows)
+    assert matrix._paley_I_verdict(F) is None
+    assert not matrix._gram_verdict(F)
+    assert not is_hadamard(F)
+
+
+def test_gram_edge_orders():
+    rng = np.random.default_rng(8)
+    for dense in ([[1]], [[-1]], [[1, 1], [1, -1]], [[-1, 1], [1, 1]]):
+        assert matrix._gram_verdict(PlusMinusMatrix.from_dense(dense))
+    for dense in ([[1, 1], [1, 1]], [[1, -1], [-1, 1]]):
+        assert not matrix._gram_verdict(PlusMinusMatrix.from_dense(dense))
+    for t in (2, 3):
+        S = construct.sylvester(t)
+        assert matrix._gram_verdict(S)
+        rows = list(S.rows)
+        rows[-1] ^= 1
+        assert not matrix._gram_verdict(PlusMinusMatrix(S.n, rows))
+    for n in (3, 6):  # odd, and 2 mod 4 above 2: no Hadamard matrix exists
+        for _ in range(20):
+            assert not matrix._gram_verdict(random_pm(rng, n))
+        assert not matrix._gram_verdict(PlusMinusMatrix(n, [0] * n))
+
+
+def test_paley_I_never_reaches_gram(tmp_path, monkeypatch, capsys):
+    def gram(M):
+        raise AssertionError("Paley I matrix sent to the Gram product")
+
+    M = construct.paley_I(4019)
+    path = tmp_path / "p.pm"
+    write_matrix(M, path)
+    monkeypatch.setattr(matrix, "_gram_verdict", gram)
+    assert is_hadamard(M)
+    assert main(["verify", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "order 4020: Hadamard\n"
 
 
 def test_kronecker_identity_and_orders():
