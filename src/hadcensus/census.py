@@ -12,7 +12,8 @@ sigma identity checks it per l against pi_count's sieve over all integers
 when 2^l*x <= PI_SIEVE_LIMIT, else against a small-prime screen of the
 progression with a primality test on every survivor.  pi_count sieves
 odd integers only and counts a class as a strided slice; psi's two routes
-share no table.  Past TABLE_BYTES_MAX / PSI_MAX_X, nothing is built.
+share no table.  Past TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is
+built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
 With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
@@ -38,6 +39,7 @@ from .errors import DomainError, WindowError
 # above it the progression is enumerated and each member primality-tested.
 PI_SIEVE_LIMIT = 10**7
 SEGMENT_SIZE_DEFAULT = 1 << 20
+PI_MAX_X = 10**11  # ~5 minutes of sieving at 2.7 s per 10^9 on one 2-vCPU VM core
 PSI_MAX_X = 10**8  # psi's int32 spf and bool prime tables take ~5*x bytes
 # Census table rows sieve with odd primes up to this; past its square,
 # their survivors are tested one by one.
@@ -317,6 +319,8 @@ def _progression_hits(limit, q, a, segment_size):
     root = math.isqrt(max(limit, 0))  # base primes' table, then one segment
     if root + min(segment_size, limit) // 2 > TABLE_BYTES_MAX:
         raise DomainError(f"pi sieve for x = {limit} exceeds {TABLE_BYTES_MAX} bytes")
+    if limit > PI_MAX_X:
+        raise DomainError(f"x = {limit} exceeds the pi limit {PI_MAX_X}")
     if limit >= 2 and (2 - a) % q == 0:
         yield 2, 1, np.ones(1, dtype=bool)
     r = a % q + q * (a % q % 2 == 0)

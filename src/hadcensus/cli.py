@@ -168,7 +168,7 @@ def build_parser():
                    default=[3, 5, 7, 13, 17, 241])
     p.add_argument("--r-max", type=int, default=9)
     p.add_argument("--m-max", type=int, default=500)
-    add_common(p)
+    p.add_argument("--out", help="output file path")
     p.set_defaults(func=cmd_riesel)
 
     p = sub.add_parser("pi", help="count primes <= x congruent to a mod q")

@@ -17,7 +17,7 @@ from .errors import (
     SizeError,
     UnsupportedFieldError,
 )
-from .matrix import MAX_ORDER_DEFAULT, PlusMinusMatrix, kronecker
+from .matrix import MAX_ORDER_DEFAULT, PlusMinusMatrix, extend_by_rotation, kronecker
 
 SYLVESTER = "sylvester"
 PALEY_I = "paley_i"
@@ -107,13 +107,12 @@ def kronecker_node(left, right):
     )
 
 
-def sylvester(t, max_order=None):
+def sylvester(t, max_order=MAX_ORDER_DEFAULT):
     """Order-2^t Sylvester matrix by recursive doubling."""
-    limit = MAX_ORDER_DEFAULT if max_order is None else max_order
     if t < 0:
         raise DomainError("t must be nonnegative")
-    if (1 << t) > limit:
-        raise SizeError(f"order 2^{t} exceeds max_order {limit}")
+    if (1 << t) > max_order:
+        raise SizeError(f"order 2^{t} exceeds max_order {max_order}")
     rows = [0]
     size = 1
     for _ in range(t):
@@ -134,70 +133,48 @@ def _quadratic_character_row(q):
     return chi
 
 
-def paley_I(q, max_order=None):
+def paley_I(q, max_order=MAX_ORDER_DEFAULT):
     """Paley construction I: order q+1 for prime q = 3 mod 4."""
-    limit = MAX_ORDER_DEFAULT if max_order is None else max_order
     _check_paley_prime(q, PALEY_I)
-    if q + 1 > limit:
-        raise SizeError(f"order {q + 1} exceeds max_order {limit}")
+    if q + 1 > max_order:
+        raise SizeError(f"order {q + 1} exceeds max_order {max_order}")
     chi = _quadratic_character_row(q)
-    # Core bit pattern: bit d set where an entry chi(d) is -1; the diagonal
-    # (d = 0) is set to -1.  Row i of the core is the rotation by i.
-    pattern = 1  # d = 0
-    for d in range(1, q):
-        if chi[d] < 0:
-            pattern |= 1 << d
-    mask = (1 << q) - 1
-    rows = [0]  # border row of +1
-    for i in range(q):
-        core = ((pattern << i) | (pattern >> (q - i))) & mask if i else pattern
-        rows.append(core << 1)  # border column of +1
-    return PlusMinusMatrix(q + 1, rows)
+    # Row 0 all +1; row 1 a +1 border, then -1 on the diagonal and chi(d)
+    # for d = 1..q-1.  Core row i is row 1's core rotated by i.
+    return extend_by_rotation([np.ones(q + 1), np.r_[1, -1, chi[1:]]])
 
 
-def paley_II(q, max_order=None):
+def paley_II(q, max_order=MAX_ORDER_DEFAULT):
     """Paley construction II: order 2(q+1) for prime q = 1 mod 4."""
-    limit = MAX_ORDER_DEFAULT if max_order is None else max_order
     _check_paley_prime(q, PALEY_II)
     n = 2 * (q + 1)
-    if n > limit:
-        raise SizeError(f"order {n} exceeds max_order {limit}")
+    if n > max_order:
+        raise SizeError(f"order {n} exceeds max_order {max_order}")
     chi = _quadratic_character_row(q)
-    # Symmetric conference matrix of order q+1 (chi(-1) = +1 here).
-    m = q + 1
-    C = np.empty((m, m), dtype=np.int8)
-    C[0, 0] = 0
-    C[0, 1:] = 1
-    C[1:, 0] = 1
-    for i in range(q):
-        C[1 + i, 1:] = np.roll(chi, i)
-    # H = C (x) [[1,1],[1,-1]] + I (x) [[1,-1],[-1,-1]]
-    eye = np.eye(m, dtype=np.int8)
-    H = np.empty((n, n), dtype=np.int8)
-    H[0::2, 0::2] = C + eye
-    H[0::2, 1::2] = C - eye
-    H[1::2, 0::2] = C - eye
-    H[1::2, 1::2] = -C - eye
-    return PlusMinusMatrix.from_dense(H)
+    # The first two rows of the symmetric conference matrix C of order q+1
+    # (chi(-1) = +1 here; C's core is circulant), then the first four of
+    # H = C (x) [[1,1],[1,-1]] + I (x) [[1,-1],[-1,-1]].
+    C = np.array([np.r_[0, np.ones(q)], np.r_[1, chi]])
+    top = np.kron(C, [[1, 1], [1, -1]]) + np.kron(np.eye(2, q + 1), [[1, -1], [-1, -1]])
+    return extend_by_rotation(top)
 
 
-def build_plan(plan: ConstructionPlan, max_order=None) -> PlusMinusMatrix:
+def build_plan(plan: ConstructionPlan, max_order=MAX_ORDER_DEFAULT) -> PlusMinusMatrix:
     """Materialize a recipe tree bottom-up."""
-    limit = MAX_ORDER_DEFAULT if max_order is None else max_order
-    if plan.claimed_order > limit:
+    if plan.claimed_order > max_order:
         raise SizeError(
-            f"order {plan.claimed_order} exceeds max_order {limit}"
+            f"order {plan.claimed_order} exceeds max_order {max_order}"
         )
     if plan.kind == SYLVESTER:
-        return sylvester(plan.t, max_order=limit)
+        return sylvester(plan.t, max_order=max_order)
     if plan.kind == PALEY_I:
-        return paley_I(plan.q, max_order=limit)
+        return paley_I(plan.q, max_order=max_order)
     if plan.kind == PALEY_II:
-        return paley_II(plan.q, max_order=limit)
+        return paley_II(plan.q, max_order=max_order)
     if plan.kind == KRONECKER:
-        left = build_plan(plan.left, max_order=limit)
-        right = build_plan(plan.right, max_order=limit)
-        return kronecker(left, right, max_order=limit)
+        left = build_plan(plan.left, max_order=max_order)
+        right = build_plan(plan.right, max_order=max_order)
+        return kronecker(left, right, max_order=max_order)
     raise ValueError(f"unknown plan node kind {plan.kind!r}")
 
 
@@ -221,10 +198,9 @@ def plan_for(k, epsilon, allow_probable=True) -> ConstructionPlan:
     return paley_i_leaf((1 << m) * k - 1)  # order 2^m * k
 
 
-def hadamard_for(k, epsilon, max_order=None, allow_probable=True):
+def hadamard_for(k, epsilon, max_order=MAX_ORDER_DEFAULT, allow_probable=True):
     """(plan, matrix-or-None); the matrix is materialized only when the
     claimed order fits under max_order."""
-    limit = MAX_ORDER_DEFAULT if max_order is None else max_order
     plan = plan_for(k, epsilon, allow_probable=allow_probable)
-    matrix = build_plan(plan, max_order=limit) if plan.claimed_order <= limit else None
+    matrix = build_plan(plan, max_order=max_order) if plan.claimed_order <= max_order else None
     return plan, matrix

@@ -4,15 +4,21 @@ Encoding: each row is a Python int used as a bit vector; bit j set means
 entry -1, clear means +1.  An all-+1 row is the integer 0, so dot products
 reduce to popcounts: row_i . row_j = n - 2*popcount(row_i XOR row_j).
 
-is_hadamard has one exact path per matrix shape.  Paley I shape: row 0 and
-column 0 all +1 and, with c_i the core (bits 1..q, q = n - 1) of row i + 1,
-c_(i+1) is c_i rotated left one place within q bits, as construct.paley_I
-builds it.  Then c_i = rot^i(c_0); rotation keeps popcounts, so for i < j
-popcount(c_i XOR c_j) = popcount(c_0 XOR c_(j-i)), and row 0 meets row i + 1
-in popcount(c_i) = popcount(c_0).  So H*H^T = n*I iff row 1 meets every
-other row in exactly n/2 places: O(n) exact big-int operations.  Every other
-matrix takes a blocked float32 Gram product, exact because the entries are
-+-1 and n < 2^24, so every partial sum is an integer float32 holds exactly.
+Rotation shape, shared by both Paley constructions: a border of w rows
+and columns around the core columns w..n-1, rows 0..w-1 unchanged when
+their core bits are rotated left w places, and row i + w equal to row i so
+rotated for i = w..n-w-1.  Paley I has w = 1; Paley II, C (x) [[1,1],[1,-1]]
++ I (x) [[1,-1],[-1,-1]] with C's core circulant, has w = 2.  If w | n, the
+n - w core bits rotated (n - w)/w times come back, so the last w rows
+rotate onto rows w..2w-1; without w | n the row-to-row step does not imply
+this wrap-around.  Then the permutation s that fixes 0..w-1 and shifts the
+core indices cyclically by w has H[s(i), s(j)] = H[i, j], so row s(i) .
+row s(j) = row i . row j, and a power of s^-1 takes any pair of core rows
+to a pair with one row in w..2w-1.  So H*H^T = n*I iff each of rows 0..2w-1
+meets every other row in exactly n/2 places: O(n) exact big-int operations.
+Any other matrix takes a blocked float32 Gram product, exact because the
+entries are +-1 and n < 2^24, so every partial sum is an integer float32
+holds exactly.
 """
 
 from __future__ import annotations
@@ -77,13 +83,7 @@ class PlusMinusMatrix:
             raise ValueError("dense input must be square")
         if not np.isin(a, (-1, 1)).all():
             raise ValueError("entries must be +-1")
-        return cls._from_minus(a == -1)
-
-    @classmethod
-    def _from_minus(cls, minus):
-        """Build from a square bool array, True where the entry is -1."""
-        bits = np.packbits(minus, axis=1, bitorder="little")
-        return cls(len(bits), [int.from_bytes(b.tobytes(), "little") for b in bits])
+        return cls(len(a), _pack(a == -1))
 
     def to_dense(self):
         """Dense int8 array of +-1 entries."""
@@ -95,23 +95,47 @@ class PlusMinusMatrix:
         return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
 
 
+def _pack(minus):
+    """Row ints of a 2-D bool array, True where the entry is -1."""
+    bits = np.packbits(minus, axis=1, bitorder="little")
+    return [int.from_bytes(b.tobytes(), "little") for b in bits]
+
+
+def _rotate(row, n, w):
+    """row with its core bits w..n-1 rotated left w places; border bits kept."""
+    m = n - w
+    core = row >> w
+    core = (core << w | core >> (m - w)) & ((1 << m) - 1)
+    return row & ((1 << w) - 1) | core << w
+
+
+def extend_by_rotation(top) -> PlusMinusMatrix:
+    """The rotation-shape matrix (module docstring) whose first 2w rows are
+    the 2w x n array of +-1 entries top: row i + w is row i rotated."""
+    w, n = len(top) // 2, len(top[0])
+    rows = _pack(np.asarray(top) == -1)
+    for i in range(w, n - w):
+        rows.append(_rotate(rows[i], n, w))
+    return PlusMinusMatrix(n, rows)
+
+
 def is_hadamard(M: PlusMinusMatrix) -> bool:
-    """True iff M * M^T = n * I: rotation check for Paley I shape, else Gram."""
-    verdict = _paley_I_verdict(M)
+    """True iff M * M^T = n * I: rotation check for the Paley shapes, else Gram."""
+    verdict = _rotation_verdict(M)
     return _gram_verdict(M) if verdict is None else verdict
 
 
-def _paley_I_verdict(M: PlusMinusMatrix):
-    """Rotation-check verdict for Paley I shape (module docstring), else None."""
+def _rotation_verdict(M: PlusMinusMatrix):
+    """Rotation-check verdict (module docstring) for w = 1 or 2, else None."""
     n, rows = M.n, M.rows
-    q = n - 1
-    if q < 1 or rows[0] or any(r & 1 for r in rows):
-        return None
-    mask = (1 << q) - 1
-    core = [r >> 1 for r in rows[1:]]
-    if any(b != ((a << 1) | (a >> (q - 1))) & mask for a, b in zip(core, core[1:])):
-        return None
-    return all(2 * (rows[1] ^ r).bit_count() == n for r in rows[:1] + rows[2:])
+    for w in (1, 2):
+        if n < 2 * w or n % w or any(_rotate(r, n, w) != r for r in rows[:w]):
+            continue
+        if any(_rotate(a, n, w) != b for a, b in zip(rows[w:], rows[2 * w:])):
+            continue
+        return all(2 * (rows[i] ^ rows[j]).bit_count() == n
+                   for i in range(2 * w) for j in range(i + 1, n))
+    return None
 
 
 def _gram_verdict(M: PlusMinusMatrix) -> bool:
@@ -130,12 +154,11 @@ def _gram_verdict(M: PlusMinusMatrix) -> bool:
     return True
 
 
-def kronecker(A: PlusMinusMatrix, B: PlusMinusMatrix, max_order=None):
+def kronecker(A: PlusMinusMatrix, B: PlusMinusMatrix, max_order=MAX_ORDER_DEFAULT):
     """Kronecker product A (x) B."""
-    limit = MAX_ORDER_DEFAULT if max_order is None else max_order
     n = A.n * B.n
-    if n > limit:
-        raise SizeError(f"order {n} exceeds max_order {limit}")
+    if n > max_order:
+        raise SizeError(f"order {n} exceeds max_order {max_order}")
     nb = B.n
     mask_b = (1 << nb) - 1
     rows = []
@@ -193,4 +216,4 @@ def read_matrix(path) -> PlusMinusMatrix:
             raise PmParseError(f"invalid character {repr(bad[:1])[1:]}", i)
     # The rows are now n lines of n bytes and a newline each, after the header.
     grid = np.frombuffer(data, np.uint8, n * (n + 1), len(header) + 1)
-    return PlusMinusMatrix._from_minus(grid.reshape(n, n + 1)[:, :n] == ord("-"))
+    return PlusMinusMatrix(n, _pack(grid.reshape(n, n + 1)[:, :n] == ord("-")))

@@ -153,6 +153,13 @@ class TestRiesel:
         assert code == EXIT_COVERAGE_GAP
         assert "coverage gap" in err
 
+    def test_no_strict_primality_option(self, capsys):
+        # riesel tests no primes, so the flag had nothing to act on
+        with pytest.raises(SystemExit) as exc:
+            main(["riesel", "--strict-primality"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --strict-primality" in capsys.readouterr().err
+
 
 class TestScalarCommands:
     def test_pi(self, capsys):
@@ -225,6 +232,22 @@ class TestErrorExits:
                              capsys)
         assert (code, out) == (EXIT_IO, "")
         assert err == f"domain error: pi sieve for x = {x} exceeds 268435456 bytes\n"
+
+    def test_pi_x_cap(self, monkeypatch, capsys):
+        class TableBuilt(Exception):
+            pass
+
+        def no_table(limit):
+            raise TableBuilt
+
+        monkeypatch.setattr(census, "_prime_flags", no_table)
+        x = 10**16  # within the byte budget, but a sieve of 10^16 integers
+        code, out, err = run(["pi", "--x", str(x), "--q", "4", "--a", "3"], capsys)
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"domain error: x = {x} exceeds the pi limit 100000000000\n"
+        # the limit itself passes the cap and goes on to build the base primes
+        with pytest.raises(TableBuilt):
+            census.pi_count(census.PI_MAX_X, 4, 3)
 
 
 def test_import_does_not_load_scipy():

@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hadcensus import construct, solver
+from hadcensus import arith, construct, solver
 from hadcensus.construct import (
     ConstructionPlan,
     build_plan,
@@ -24,7 +25,7 @@ from hadcensus.errors import (
     SizeError,
     UnsupportedFieldError,
 )
-from hadcensus.matrix import PlusMinusMatrix, is_hadamard
+from hadcensus.matrix import MAX_ORDER_DEFAULT, PlusMinusMatrix, is_hadamard
 
 
 def test_sylvester_small():
@@ -60,6 +61,47 @@ def test_paley_II():
         M = paley_II(q)
         assert M.n == 2 * (q + 1)
         assert is_hadamard(M)
+
+
+def circulant_of_chi(q):
+    """Entry (i, j) is chi(j - i), chi the Legendre symbol by Euler's
+    criterion (chi(0) = 0)."""
+    chi = np.array([0] + [1 if pow(d, (q - 1) // 2, q) == 1 else -1
+                          for d in range(1, q)])
+    idx = np.arange(q)
+    return chi[(idx[None, :] - idx[:, None]) % q]
+
+
+def dense_paley(q):
+    """Paley I (+1 border, core chi(j - i) with -1 on the diagonal) or
+    Paley II (C (x) [[1,1],[1,-1]] + I (x) [[1,-1],[-1,-1]], C the symmetric
+    conference matrix), written out entry by entry."""
+    if q % 4 == 3:
+        H = np.ones((q + 1, q + 1), dtype=int)
+        H[1:, 1:] = circulant_of_chi(q) - np.eye(q, dtype=int)
+        return H
+    C = np.ones((q + 1, q + 1), dtype=int)
+    C[0, 0] = 0
+    C[1:, 1:] = circulant_of_chi(q)
+    return (np.kron(C, [[1, 1], [1, -1]])
+            + np.kron(np.eye(q + 1, dtype=int), [[1, -1], [-1, -1]]))
+
+
+def test_paley_rows_match_dense_reference():
+    for q in [q for q in range(3, 400, 2) if arith.is_prime(q)] + [1009, 2011]:
+        M = paley_I(q) if q % 4 == 3 else paley_II(q)
+        assert np.array_equal(M.to_dense(), dense_paley(q)), q
+
+
+def test_paley_size_guard():
+    with pytest.raises(SizeError):
+        paley_I(11, max_order=11)
+    with pytest.raises(SizeError):
+        paley_II(13, max_order=27)
+    assert paley_II(13, max_order=28).n == 28
+    for build, q in ((paley_I, 65539), (paley_II, 32789)):  # default max_order
+        with pytest.raises(SizeError, match=f"max_order {MAX_ORDER_DEFAULT}"):
+            build(q)
 
 
 def test_paley_II_rejections():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,7 @@ def test_paley_I_and_one_flipped_entry():
 
 
 PALEY_I_PRIMES = [q for q in range(3, 2000, 4) if arith.is_prime(q)]
+PALEY_II_PRIMES = [q for q in range(5, 2000, 4) if arith.is_prime(q)]
 
 
 def bordered_circulant(pattern, q):
@@ -69,7 +72,11 @@ def test_rotation_check_agrees_with_gram():
     for q in PALEY_I_PRIMES:
         M = construct.paley_I(q)
         assert M == bordered_circulant(M.rows[1] >> 1, q)
-        assert matrix._paley_I_verdict(M) is True, q
+        assert matrix._rotation_verdict(M) is True, q
+        assert matrix._gram_verdict(M), q
+    for q in PALEY_II_PRIMES:
+        M = construct.paley_II(q)
+        assert matrix._rotation_verdict(M) is True, q
         assert matrix._gram_verdict(M), q
 
 
@@ -87,18 +94,34 @@ def test_rotation_check_rejects_shape_keeping_faults():
         # the complement keeps every pair apart in n/2 places but row 0
         for fault in (pattern ^ swap, pattern ^ ((1 << q) - 1)):
             M = bordered_circulant(fault, q)
-            assert matrix._paley_I_verdict(M) is False, q
+            assert matrix._rotation_verdict(M) is False, q
+            assert not matrix._gram_verdict(M), q
+    # Paley II: flip one entry of row 2 or 3 (border column or core) and
+    # rebuild the rest by rotation; the shape holds and row 0 now meets
+    # row 2 or 3 in n/2 +- 1 places.
+    for q in [q for q in PALEY_II_PRIMES if q < 700][::4]:
+        top = construct.paley_II(q).to_dense()[:4]
+        for _ in range(3):
+            fault = top.copy()
+            fault[rng.integers(2, 4), rng.integers(0, 2 * q + 2)] *= -1
+            M = matrix.extend_by_rotation(fault)
+            assert matrix._rotation_verdict(M) is False, q
             assert not matrix._gram_verdict(M), q
 
 
-@pytest.mark.parametrize("i,j", [(5, 9), (0, 9), (5, 0)],
-                         ids=["core", "border-row", "border-column"])
-def test_shape_breaking_faults_go_to_gram(i, j):
-    M = construct.paley_I(43)
+@pytest.mark.parametrize(
+    "q,i,j",
+    [(43, 5, 9), (43, 0, 9), (43, 5, 0),
+     (41, 9, 13), (41, 0, 9), (41, 1, 10), (41, 9, 0), (41, 9, 1), (41, 83, 5)],
+    ids=["core", "border-row", "border-column",
+         "II-core", "II-border-row-0", "II-border-row-1",
+         "II-border-column-0", "II-border-column-1", "II-last-row"])
+def test_shape_breaking_faults_go_to_gram(q, i, j):
+    M = construct.paley_I(q) if q % 4 == 3 else construct.paley_II(q)
     rows = list(M.rows)
     rows[i] ^= 1 << j
     F = PlusMinusMatrix(M.n, rows)
-    assert matrix._paley_I_verdict(F) is None
+    assert matrix._rotation_verdict(F) is None
     assert not matrix._gram_verdict(F)
     assert not is_hadamard(F)
 
@@ -121,17 +144,44 @@ def test_gram_edge_orders():
         assert not matrix._gram_verdict(PlusMinusMatrix(n, [0] * n))
 
 
+def shaped(rng, n, w):
+    """A random matrix of the rotation shape for w, if w divides n: random
+    border entries, border rows with a core of period w, random core rows."""
+    top = rng.choice([-1, 1], size=(2 * w, n))
+    top[:w, w:] = np.tile(rng.choice([-1, 1], size=(w, w)), n)[:, : n - w]
+    return matrix.extend_by_rotation(top)
+
+
+def test_small_orders_give_the_gram_verdict():
+    # Every w = 1 shape up to order 8, random w = 2 shapes (n odd: the
+    # row-to-row step without the wrap-around) and random matrices.
+    rng = np.random.default_rng(10)
+    seen = set()
+    for n in list(range(1, 9)) + [9, 11, 13]:
+        cases = [random_pm(rng, n) for _ in range(30)]
+        if 2 <= n <= 8:  # row 0: any corner, a constant core; row 1: anything
+            for corner, core, row1 in itertools.product(
+                    (1, -1), (1, -1), itertools.product((1, -1), repeat=n)):
+                cases.append(matrix.extend_by_rotation([[corner] + [core] * (n - 1), row1]))
+        cases += [shaped(rng, n, 2) for _ in range(100 if n >= 4 else 0)]
+        for M in cases:
+            verdict = matrix._gram_verdict(M)
+            assert is_hadamard(M) == verdict, (n, M.rows)
+            seen.add((n, verdict))
+    assert {(n, True) for n in (1, 2, 4, 8)} <= seen
+
+
 def test_paley_I_never_reaches_gram(tmp_path, monkeypatch, capsys):
     def gram(M):
-        raise AssertionError("Paley I matrix sent to the Gram product")
+        raise AssertionError("Paley matrix sent to the Gram product")
 
-    M = construct.paley_I(4019)
     path = tmp_path / "p.pm"
-    write_matrix(M, path)
     monkeypatch.setattr(matrix, "_gram_verdict", gram)
-    assert is_hadamard(M)
-    assert main(["verify", str(path)]) == EXIT_OK
-    assert capsys.readouterr().out == "order 4020: Hadamard\n"
+    for M in (construct.paley_I(4019), construct.paley_II(1009)):
+        write_matrix(M, path)
+        assert is_hadamard(M)
+        assert main(["verify", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == f"order {M.n}: Hadamard\n"
 
 
 def test_kronecker_identity_and_orders():
