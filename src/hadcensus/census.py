@@ -212,17 +212,19 @@ def S_count(k, L, allow_probable=True):
 def _progression_prime_count(l, x, allow_probable=True):
     """Number of primes p <= 2^l*x with p = 2^l - 1 mod 2^(l+1).
 
-    Such p are exactly 2^l*k - 1 for odd k <= x.  Small primes screen the
-    bulk; survivors get an individual primality test.
+    Such p are exactly 2^l*k - 1 for odd k <= x.  Each odd prime below
+    1000 strikes out every p-th k = 2j + 1 from the first with k = 2^-l
+    (mod p), sparing the one whose value is p itself; survivors get an
+    individual primality test.
     """
-    ks = np.arange(1, x + 1, 2, dtype=np.int64)
-    keep = np.ones(ks.size, dtype=bool)
+    keep = np.ones((x + 1) // 2, dtype=bool)
     for p in arith.SMALL_PRIMES[1:]:
-        keep &= ks % p != pow(2, -l, p)
-    if l < 10:  # re-admit the k whose value *is* a screening prime
-        keep |= np.isin((ks << l) - 1, arith.SMALL_PRIMES)
-    return sum(arith.is_prime_bool((k << l) - 1, allow_probable)
-               for k in ks[keep].tolist())
+        j = (pow(2, -l, p) - 1) * (p + 1) // 2 % p  # 2^-1 = (p + 1)/2 (mod p)
+        if ((2 * j + 1) << l) - 1 == p:
+            j += p
+        keep[j::p] = False
+    return sum(arith.is_prime_bool(((2 * j + 1) << l) - 1, allow_probable)
+               for j in np.flatnonzero(keep).tolist())
 
 
 def _pi_terms(params: CensusParams, allow_probable=True):
@@ -439,6 +441,8 @@ def psi_paths(x, q, a):
     a %= q
     if x < 1:
         return 0.0, 0.0
+    if q > x:  # 1 <= n <= x < q: n = a mod q iff n = a, as mod x + 1 (0 if a > x)
+        q, a = x + 1, a if a <= x else 0
     # Route 1: Lambda(k) for each k in the progression via smallest-prime-
     # factor reduction (k is a prime power iff dividing out spf reaches 1).
     spf = _spf(x)

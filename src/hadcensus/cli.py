@@ -1,9 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: build, verify, search, census, riesel, pi, psi.
-Exit codes: 0 success, 1 I/O, parse or domain failure (an argument out of
-range, an input past a size cap, an empty census window), 2 prime search exhausted, 3 verification
-failure, 4 covering gap.
+Exit codes: 0 success, 1 I/O, parse or domain failure (a file that cannot
+be read or written, a malformed .pm file, an argument out of range, an
+input past a size cap, an empty census window), 2 prime search exhausted,
+3 verification failure, 4 covering gap.  FAILURES is the one table of
+them: main alone catches them and prints one stderr line each, such as
+"I/O error: <OSError text>" for any file.
 """
 
 from __future__ import annotations
@@ -24,6 +27,18 @@ EXIT_NO_PRIME = 2
 EXIT_NOT_HADAMARD = 3
 EXIT_COVERAGE_GAP = 4
 
+# (exception type, exit code, stderr line).  main prints the line of the
+# first entry whose type matches, so a subclass must stand above its base.
+FAILURES = (
+    (NoPrimeInRange, EXIT_NO_PRIME,
+     "no prime in window m = {0.m_lo}..{0.m_hi} for k = {0.k}"),
+    (CoverageGap, EXIT_COVERAGE_GAP, "coverage gap: {0}"),
+    (PmParseError, EXIT_IO, "parse error: {0}"),
+    (OSError, EXIT_IO, "I/O error: {0}"),
+    (DomainError, EXIT_IO, "domain error: {0}"),
+    (WindowError, EXIT_IO, "window error: {0}"),
+)
+
 
 def _fraction(text):
     try:
@@ -37,16 +52,19 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _emit(args, payload):
+    """Write payload as canonical JSON to --out, if given, then to stdout."""
+    text = canonical_json(payload)
+    if args.out:
+        _write_text(args.out, text)
+    sys.stdout.write(text)
+
+
 def cmd_build(args):
-    try:
-        plan, matrix = construct.hadamard_for(
-            args.k, args.epsilon, max_order=args.max_order,
-            allow_probable=not args.strict_primality,
-        )
-    except NoPrimeInRange as exc:
-        print(f"no prime in window m = {exc.m_lo}..{exc.m_hi} for k = {exc.k}",
-              file=sys.stderr)
-        return EXIT_NO_PRIME
+    plan, matrix = construct.hadamard_for(
+        args.k, args.epsilon, max_order=args.max_order,
+        allow_probable=not args.strict_primality,
+    )
     order = plan.claimed_order
     exponent = (order // args.k).bit_length() - 1
     if args.out:
@@ -59,14 +77,7 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
-    try:
-        matrix = read_matrix(args.path)
-    except PmParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    matrix = read_matrix(args.path)
     ok = is_hadamard(matrix)
     print(f"order {matrix.n}: {'Hadamard' if ok else 'NOT Hadamard'}")
     return EXIT_OK if ok else EXIT_NOT_HADAMARD
@@ -75,10 +86,7 @@ def cmd_verify(args):
 def cmd_search(args):
     result = solver.find_m(args.k, args.epsilon,
                            allow_probable=not args.strict_primality)
-    text = canonical_json(result.to_json_dict())
-    if args.out:
-        _write_text(args.out, text)
-    sys.stdout.write(text)
+    _emit(args, result.to_json_dict())
     return EXIT_OK if result.found_m is not None else EXIT_NO_PRIME
 
 
@@ -86,29 +94,19 @@ def cmd_census(args):
     report = census.density_report(
         args.x, args.epsilon, allow_probable=not args.strict_primality
     )
-    text = canonical_json(report.to_json_dict())
-    if args.out:
-        _write_text(args.out, text)
-        if args.format == "csv":
-            _write_text(args.out + ".csv", report.to_csv())
-    sys.stdout.write(text)
+    _emit(args, report.to_json_dict())
+    if args.out and args.format == "csv":
+        _write_text(args.out + ".csv", report.to_csv())
     return EXIT_OK
 
 
 def cmd_riesel(args):
-    try:
-        cert = solver.riesel_certificate(
-            args.k0, args.step, args.cover,
-            spot_check_r=range(args.r_max + 1),
-            spot_check_m=range(args.m_max + 1),
-        )
-    except CoverageGap as exc:
-        print(f"coverage gap: {exc}", file=sys.stderr)
-        return EXIT_COVERAGE_GAP
-    text = canonical_json(cert.to_json_dict())
-    if args.out:
-        _write_text(args.out, text)
-    sys.stdout.write(text)
+    cert = solver.riesel_certificate(
+        args.k0, args.step, args.cover,
+        spot_check_r=range(args.r_max + 1),
+        spot_check_m=range(args.m_max + 1),
+    )
+    _emit(args, cert.to_json_dict())
     return EXIT_OK
 
 
@@ -193,13 +191,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DomainError, WindowError) as exc:
-        kind = "window" if isinstance(exc, WindowError) else "domain"
-        print(f"{kind} error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except tuple(kind for kind, _, _ in FAILURES) as exc:
+        code, line = next((c, t) for k, c, t in FAILURES if isinstance(exc, k))
+        print(line.format(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import PmParseError, SizeError
 
 MAX_ORDER_DEFAULT = 1 << 16
+GRAM_BLOCK_ENTRIES = 1 << 24  # float32 entries per Gram block: 64 MB
 
 _TO_PM = bytes.maketrans(b"01", b"+-")
 
@@ -145,7 +146,7 @@ def _gram_verdict(M: PlusMinusMatrix) -> bool:
         return False
     dense = M.to_dense().astype(np.float32)
     # The Gram matrix is symmetric: its upper triangle covers every row pair.
-    block = max(256, (1 << 27) // n)
+    block = max(1, GRAM_BLOCK_ENTRIES // n)
     for lo in range(0, n, block):
         gram = dense[lo : lo + block] @ dense[lo:].T
         gram[np.diag_indices(len(gram))] -= n  # gram[i, i] is row lo + i with itself

@@ -54,7 +54,9 @@ def brute_mangoldt(k):
 
 
 NAIVE_LIMIT = 600
-NAIVE_FLAGS = [trial_division_prime(n) for n in range(NAIVE_LIMIT + 1)]
+# test_matches_naive_count draws x up to 2 + (NAIVE_LIMIT // seg - 1)*seg,
+# which is NAIVE_LIMIT + 1 at seg = 1
+NAIVE_FLAGS = [trial_division_prime(n) for n in range(NAIVE_LIMIT + 2)]
 # classes holding 2, odd q, negative a and a >= q
 CLASSES = st.sampled_from([(2, 0), (4, 2), (1, 0)]) | st.tuples(
     st.integers(min_value=1, max_value=12),
@@ -102,6 +104,14 @@ class TestSigma:
             for k in range(1, 101, 2)
         )
         assert sigma(params)[0] == expected
+
+    def test_progression_route_against_sieve(self):
+        # the second route serves only 2^l*x > PI_SIEVE_LIMIT in a census;
+        # small x and l reach the values that equal a screening prime
+        for x in (1, 2, 5, 100, 1001):
+            for l in range(1, 12):
+                assert census._progression_prime_count(l, x) == \
+                    pi_count(x << l, 2 << l, (1 << l) - 1), (x, l)
 
 
 class TestSumSSquared:
@@ -289,6 +299,17 @@ class TestPsi:
                 for a in range(q):
                     d, e = psi_paths(x, q, a)
                     assert d == pytest.approx(e, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [2**63, 10**30])
+    def test_modulus_past_x(self, q):
+        # below q the class a mod q holds at most one integer, a mod q itself
+        for x in (1, 10, 961):
+            for a in (0, 1, 9, 961, 962, q - 1, q + 7, 4 - q):
+                expected = sum(brute_mangoldt(k) for k in range(1, x + 1)
+                               if (k - a) % q == 0)
+                direct, enumerated = psi_paths(x, q, a)
+                assert direct == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                assert enumerated == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_matches_scalar_mangoldt(self):
         x, q, a = 300, 4, 1

@@ -59,9 +59,11 @@ class TestBuildVerify:
         assert "NOT Hadamard" in out
 
     def test_verify_missing_file(self, tmp_path, capsys):
-        code, _, err = run(["verify", str(tmp_path / "absent.pm")], capsys)
-        assert code == EXIT_IO
-        assert "cannot read" in err
+        path = tmp_path / "absent.pm"
+        code, out, err = run(["verify", str(path)], capsys)
+        assert (code, out) == (EXIT_IO, "")
+        # the shared file-error line; the errno text names the path
+        assert err == f"I/O error: [Errno 2] No such file or directory: {str(path)!r}\n"
 
     def test_verify_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.pm"
@@ -83,6 +85,7 @@ class TestBuildVerify:
                            capsys)
         assert code == EXIT_NO_PRIME
         assert "no prime in window" in err
+        assert err == "no prime in window m = 1..9 for k = 509203\n"
 
 
 class TestSearch:
@@ -138,6 +141,14 @@ class TestCensus:
         code, _, err = run(["census", "--x", "2", "--epsilon", "1/2"], capsys)
         assert code == EXIT_IO
         assert "window error" in err
+        assert err == "window error: empty window: L = -1 for x = 2, epsilon = 1/2\n"
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run(["census", "--x", "100", "--epsilon", "1",
+                              "--out", str(path)], capsys)
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"I/O error: [Errno 2] No such file or directory: {str(path)!r}\n"
 
 
 class TestRiesel:
@@ -152,6 +163,7 @@ class TestRiesel:
         code, _, err = run(["riesel", "--cover", "3", "5", "7"], capsys)
         assert code == EXIT_COVERAGE_GAP
         assert "coverage gap" in err
+        assert err == "coverage gap: no covering prime for m = 3 (mod 12)\n"
 
     def test_no_strict_primality_option(self, capsys):
         # riesel tests no primes, so the flag had nothing to act on
@@ -173,6 +185,14 @@ class TestScalarCommands:
                            capsys)
         assert code == EXIT_OK
         assert float(out) == pytest.approx(math.log(315), rel=1e-9)
+
+    @pytest.mark.parametrize("a,printed", [
+        ("1", "0\n"), (str(10**30 + 9), "1.09861229\n")])
+    def test_psi_modulus_past_x(self, a, printed, capsys):
+        # the class a mod 10^30 holds at most one integer <= 10: a mod 10^30
+        code, out, err = run(["psi", "--x", "10", "--q", str(10**30), "--a", a],
+                             capsys)
+        assert (code, out, err) == (EXIT_OK, printed, "")
 
     @pytest.mark.parametrize("a,printed", [(1, "4999334.18\n"), (3, "4999189.28\n")])
     def test_psi_workload_scale(self, a, printed, capsys):

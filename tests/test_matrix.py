@@ -144,6 +144,21 @@ def test_gram_edge_orders():
         assert not matrix._gram_verdict(PlusMinusMatrix(n, [0] * n))
 
 
+def test_gram_takes_several_blocks(monkeypatch):
+    # order 512 in eight blocks of 64 rows; the last pairs rows 448..511
+    monkeypatch.setattr(matrix, "GRAM_BLOCK_ENTRIES", 64 * 512)
+    S = construct.sylvester(9)
+    assert matrix._gram_verdict(S)
+    flipped = list(S.rows)
+    flipped[500] ^= 1 << 500
+    assert not matrix._gram_verdict(PlusMinusMatrix(S.n, flipped))
+    # row 511 = -row 510 stays orthogonal to every row but 510, and only
+    # the last block holds the pair (510, 511)
+    negated = list(S.rows)
+    negated[511] = negated[510] ^ ((1 << 512) - 1)
+    assert not matrix._gram_verdict(PlusMinusMatrix(S.n, negated))
+
+
 def shaped(rng, n, w):
     """A random matrix of the rotation shape for w, if w divides n: random
     border entries, border rows with a core of period w, random core rows."""
