@@ -123,43 +123,39 @@ def _strong_lucas_prp(n):
     return False
 
 
-# Cached verdicts: 0 composite, 1 certified prime (witness set),
-# 2 probable prime, 3 prime by trial division, 4 composite by trial division.
+_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.DETERMINISTIC_WITNESS_SET, True)
+_PRIME = PrimalityResult(Verdict.PRIME, Method.DETERMINISTIC_WITNESS_SET, True)
+_PROBABLE = PrimalityResult(Verdict.PRIME, Method.PROBABLE_PRIME, False)
+_TRIAL_PRIME = PrimalityResult(Verdict.PRIME, Method.TRIAL_DIVISION, True)
+_TRIAL_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.TRIAL_DIVISION, True)
+_NOT_PRIME = PrimalityResult(Verdict.NOT_PRIME, Method.TRIAL_DIVISION, True)
+
+
 @lru_cache(maxsize=1 << 21)
 def _verdict(n):
     for p in SMALL_PRIMES:
         if n % p == 0:
-            return 3 if n == p else 4
+            return _TRIAL_PRIME if n == p else _TRIAL_COMPOSITE
     if n < _SMALL_LIMIT:
-        return 3
+        return _TRIAL_PRIME
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
     if n < DETERMINISTIC_LIMIT:
         for a in _WITNESSES_U64:
             if _mr_composite(n, a, d, s):
-                return 0
-        return 1
+                return _COMPOSITE
+        return _PRIME
     if _mr_composite(n, 2, d, s):
-        return 0
-    return 2 if _strong_lucas_prp(n) else 0
-
-
-_RESULTS = {
-    0: PrimalityResult(Verdict.COMPOSITE, Method.DETERMINISTIC_WITNESS_SET, True),
-    1: PrimalityResult(Verdict.PRIME, Method.DETERMINISTIC_WITNESS_SET, True),
-    2: PrimalityResult(Verdict.PRIME, Method.PROBABLE_PRIME, False),
-    3: PrimalityResult(Verdict.PRIME, Method.TRIAL_DIVISION, True),
-    4: PrimalityResult(Verdict.COMPOSITE, Method.TRIAL_DIVISION, True),
-}
-_NOT_PRIME = PrimalityResult(Verdict.NOT_PRIME, Method.TRIAL_DIVISION, True)
+        return _COMPOSITE
+    return _PROBABLE if _strong_lucas_prp(n) else _COMPOSITE
 
 
 def is_prime(n):
     """Primality verdict for n >= 0; exact below 2^64, BPSW-style above."""
     if n <= 1:
         return _NOT_PRIME
-    return _RESULTS[_verdict(n)]
+    return _verdict(n)
 
 
 def is_prime_bool(n, allow_probable=True):

@@ -8,12 +8,13 @@ rational arithmetic (see arith.max_m_leq / max_m_lt).
 
 A census sieves one table of prime flags for 2^m*k - 1 (_prime_table);
 S, sum S^2, N, M, M' and the certified flag are reductions of it.  The
-sigma identity checks it per l against pi_count's sieve over all integers
-when 2^l*x <= PI_SIEVE_LIMIT, else against a small-prime screen of the
-progression with a primality test on every survivor.  pi_count sieves
-odd integers only and counts a class as a strided slice; psi's two routes
-share no table.  Past TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is
-built.
+sigma identity checks it row by row against one second route,
+_progression_primes: a strided screen of the progression by the primes to
+SIGMA_SCREEN_BOUND, exact below 2^32 and primality-tested past it, which
+shares no sieve, inverse or branch with the table.  The first k whose
+flags differ names the fault.  pi_count sieves odd integers only and
+counts a class as a strided slice; psi's two routes share no table.  Past
+TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
 With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
@@ -25,7 +26,7 @@ With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,15 +36,14 @@ import numpy as np
 from . import arith
 from .errors import DomainError, WindowError
 
-# pi terms with bound at most this are cross-computed by an actual sieve;
-# above it the progression is enumerated and each member primality-tested.
-PI_SIEVE_LIMIT = 10**7
 SEGMENT_SIZE_DEFAULT = 1 << 20
 PI_MAX_X = 10**11  # ~5 minutes of sieving at 2.7 s per 10^9 on one 2-vCPU VM core
 PSI_MAX_X = 10**8  # psi's int32 spf and bool prime tables take ~5*x bytes
 # Census table rows sieve with odd primes up to this; past its square,
 # their survivors are tested one by one.
 TABLE_SIEVE_BOUND = 1 << 20
+# The sigma check's second route screens with odd primes up to this.
+SIGMA_SCREEN_BOUND = 1 << 16
 TABLE_BYTES_MAX = 1 << 28  # bytes: _prime_table (2*rows*(x+1)//2), pi sieve
 
 
@@ -62,10 +62,8 @@ class CensusParams:
 
     def require_window(self):
         if self.L < 1:
-            raise WindowError(
-                f"empty window: L = {self.L} for x = {self.x}, "
-                f"epsilon = {self.epsilon}"
-            )
+            raise WindowError(f"empty window: L = {self.L} for x = {self.x}, "
+                              f"epsilon = {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -179,6 +177,15 @@ def _m_window(prime, probable, epsilon, x):
     return ok, not probable[first, cols].any()
 
 
+def _n_window(prime, probable, epsilon, x):
+    """(N, certified): the odd k <= x with a counted prime 2^m*k - 1 for
+    some m < epsilon*log2(x); certified unless some such k has only
+    probable primes there."""
+    rows = slice(arith.max_m_lt(epsilon, x))
+    hit = prime[rows].any(axis=0)
+    return int(hit.sum()), bool(((prime & ~probable)[rows].any(axis=0) == hit).all())
+
+
 def _closure_count(flags, x):
     """Size of the multiplicative closure of the odd k <= x marked in flags
     (flags indexed (k-1)//2): products of members are marked until no
@@ -203,42 +210,44 @@ def S_count(k, L, allow_probable=True):
         raise DomainError("k must be odd and positive")
     if L < 1:
         raise DomainError("L must be >= 1")
-    return sum(
-        1 for l in range(1, L + 1)
-        if arith.is_prime_bool((k << l) - 1, allow_probable)
-    )
+    return sum(arith.is_prime_bool((k << l) - 1, allow_probable)
+               for l in range(1, L + 1))
 
 
-def _progression_prime_count(l, x, allow_probable=True):
-    """Number of primes p <= 2^l*x with p = 2^l - 1 mod 2^(l+1).
+@lru_cache(maxsize=2)
+def _screen_primes(bound):
+    return arith._sieve_upto(bound)[1:]  # odd primes <= bound
 
-    Such p are exactly 2^l*k - 1 for odd k <= x.  Each odd prime below
-    1000 strikes out every p-th k = 2j + 1 from the first with k = 2^-l
-    (mod p), sparing the one whose value is p itself; survivors get an
-    individual primality test.
+
+def _progression_primes(l, x, allow_probable=True):
+    """keep[j] when 2^l*(2j + 1) - 1 counts as prime, for odd 2j + 1 <= x:
+    the primes p <= 2^l*x with p = 2^l - 1 (mod 2^(l+1)), the sigma
+    identity's second route.
+
+    Each odd prime p <= min(isqrt(2^l*x), SIGMA_SCREEN_BOUND) strikes out
+    every p-th k = 2j + 1 from the first with k = 2^-l (mod p), sparing
+    the one whose value is p.  Below about 2^32 (isqrt(2^l*x) within the
+    bound) the survivors are the primes; past it each one is tested.
+
+    The route shares nothing with _prime_table, so that a fault in either
+    shows as a disagreement: its primes come from arith's bytearray sieve,
+    not _prime_flags; each start comes from pow(2, -l, p), not an inverse
+    carried from row to row; every p strides, with no large-prime branch;
+    and it tests survivors from 2^32 on, where the table starts at 2^40.
     """
     keep = np.ones((x + 1) // 2, dtype=bool)
-    for p in arith.SMALL_PRIMES[1:]:
+    keep[:1] = l > 1  # 2*1 - 1 = 1
+    root = math.isqrt(x << l)
+    primes = _screen_primes(SIGMA_SCREEN_BOUND)
+    for p in primes[: bisect_right(primes, root)]:
         j = (pow(2, -l, p) - 1) * (p + 1) // 2 % p  # 2^-1 = (p + 1)/2 (mod p)
         if ((2 * j + 1) << l) - 1 == p:
             j += p
         keep[j::p] = False
-    return sum(arith.is_prime_bool(((2 * j + 1) << l) - 1, allow_probable)
-               for j in np.flatnonzero(keep).tolist())
-
-
-def _pi_terms(params: CensusParams, allow_probable=True):
-    """Per-l progression prime counts; sieved exactly when the bound is
-    small enough, enumerated otherwise."""
-    terms = []
-    for l in range(1, params.L + 1):
-        bound = (1 << l) * params.x
-        if bound <= PI_SIEVE_LIMIT:
-            c = pi_count(bound, 1 << (l + 1), (1 << l) - 1)
-        else:
-            c = _progression_prime_count(l, params.x, allow_probable)
-        terms.append((l, c))
-    return tuple(terms)
+    if root > SIGMA_SCREEN_BOUND:
+        for j in np.flatnonzero(keep).tolist():
+            keep[j] = arith.is_prime_bool(((2 * j + 1) << l) - 1, allow_probable)
+    return keep
 
 
 def sigma(params: CensusParams, allow_probable=True):
@@ -261,8 +270,7 @@ def N_eps(x, epsilon, allow_probable=True):
     (strict window, fixed by x)."""
     if x < 1:
         return 0
-    prime, _ = _prime_table(x, epsilon, allow_probable)
-    return int(prime[: arith.max_m_lt(epsilon, x)].any(axis=0).sum())
+    return _n_window(*_prime_table(x, epsilon, allow_probable), epsilon, x)[0]
 
 
 def _m_detail(x, epsilon, allow_probable=True):
@@ -403,14 +411,10 @@ def mangoldt(k):
         raise DomainError("k must be positive")
     if k == 1:
         return None, 0.0
-    p = min(arith.factorize(k))
-    v = k
-    j = 0
-    while v % p == 0:
-        v //= p
-        j += 1
-    if v != 1:
+    factors = arith.factorize(k)
+    if len(factors) != 1:
         return None, 0.0
+    [(p, j)] = factors.items()
     return (p, j), math.log(p)
 
 
@@ -473,9 +477,7 @@ def psi(x, q, a, rel_tol=1e-9):
     direct, enumerated = psi_paths(x, q, a)
     scale = max(abs(direct), abs(enumerated), 1.0)
     if abs(direct - enumerated) > rel_tol * scale:
-        raise ArithmeticError(
-            f"psi paths disagree: {direct} vs {enumerated}"
-        )
+        raise ArithmeticError(f"psi paths disagree: {direct} vs {enumerated}")
     return direct
 
 
@@ -487,36 +489,32 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     params = CensusParams.create(x, epsilon)
     params.require_window()
     prime, probable = _prime_table(x, params.epsilon, allow_probable)
-    terms = _pi_terms(params, allow_probable)
+    terms = []
+    for l, row in enumerate(prime[: params.L], 1):
+        keep = _progression_primes(l, x, allow_probable)
+        wrong = np.flatnonzero(row != keep)
+        if wrong.size:
+            raise ArithmeticError(
+                f"sigma identity violated at l = {l}: k = {2 * wrong[0] + 1}")
+        terms.append((l, int(np.count_nonzero(keep))))
     S = prime[: params.L].sum(axis=0)
     s_sum = int(S.sum())
-    for (l, count), direct in zip(terms, prime[: params.L].sum(axis=1).tolist()):
-        if direct != count:
-            raise ArithmeticError(
-                f"sigma identity violated at l = {l}: direct {direct} != pi {count}")
     s_sq = int((S * S).sum())
     flags_m, cert_m = _m_window(prime, probable, params.epsilon, x)
-    n_count = int(prime[: arith.max_m_lt(params.epsilon, x)].any(axis=0).sum())
+    n_count, cert_n = _n_window(prime, probable, params.epsilon, x)
     m_count = int(flags_m.sum())
-    m_prime = _closure_count(flags_m, x)
-    h_lower = 1 + m_count
-    degenerate = []
-    if s_sq > 0:
-        cs = Fraction(s_sum * s_sum, s_sq)
-    else:
-        cs = Fraction(0)
-        degenerate.append("cs_lower_bound_zero_denominator")
+    cs = Fraction(s_sum * s_sum, s_sq) if s_sq else Fraction(0)
     return CensusReport(
         params=params,
         sigma=s_sum,
-        pi_terms=terms,
+        pi_terms=tuple(terms),
         sum_S_squared=s_sq,
         N=n_count,
         M=m_count,
-        M_prime=m_prime,
-        H_lower=h_lower,
+        M_prime=_closure_count(flags_m, x),
+        H_lower=1 + m_count,
         cs_lower_bound=cs,
         upper_curve=2 * x * math.log2(1 + float(params.epsilon)),
-        certified=not probable[: params.L].any() and cert_m,
-        degenerate_flags=tuple(degenerate),
+        certified=not probable[: params.L].any() and cert_m and cert_n,
+        degenerate_flags=() if s_sq else ("cs_lower_bound_zero_denominator",),
     )

@@ -200,7 +200,9 @@ def plan_for(k, epsilon, allow_probable=True) -> ConstructionPlan:
 
 def hadamard_for(k, epsilon, max_order=MAX_ORDER_DEFAULT, allow_probable=True):
     """(plan, matrix-or-None); the matrix is materialized only when the
-    claimed order fits under max_order."""
+    claimed order fits under max_order, itself at most MAX_ORDER_DEFAULT."""
+    if max_order > MAX_ORDER_DEFAULT:
+        raise DomainError(f"max_order {max_order} exceeds {MAX_ORDER_DEFAULT}")
     plan = plan_for(k, epsilon, allow_probable=allow_probable)
     matrix = build_plan(plan, max_order=max_order) if plan.claimed_order <= max_order else None
     return plan, matrix

@@ -105,13 +105,17 @@ class TestSigma:
         )
         assert sigma(params)[0] == expected
 
-    def test_progression_route_against_sieve(self):
-        # the second route serves only 2^l*x > PI_SIEVE_LIMIT in a census;
-        # small x and l reach the values that equal a screening prime
-        for x in (1, 2, 5, 100, 1001):
-            for l in range(1, 12):
-                assert census._progression_prime_count(l, x) == \
-                    pi_count(x << l, 2 << l, (1 << l) - 1), (x, l)
+    def test_progression_route_against_sieve(self, monkeypatch):
+        # the second route serves every row of a census; small x and l reach
+        # the values that equal a screening prime.  At the default bound
+        # every row here is exact; at 2^5, rows whose values pass 33^2 test
+        # their survivors one by one.
+        for bound in (census.SIGMA_SCREEN_BOUND, 2**5):
+            monkeypatch.setattr(census, "SIGMA_SCREEN_BOUND", bound)
+            for x in (1, 2, 5, 100, 1001):
+                for l in range(1, 12):
+                    assert np.count_nonzero(census._progression_primes(l, x)) == \
+                        pi_count(x << l, 2 << l, (1 << l) - 1), (bound, x, l)
 
 
 class TestSumSSquared:
@@ -442,7 +446,11 @@ def _brute_census(x, eps, allow_probable):
     pi_terms = tuple((l, sum(counted(k, l)[0] for k in ks))
                      for l in range(1, L + 1))
     certified = not any(counted(k, l)[1] for k in ks for l in range(1, L + 1))
-    N = sum(any(counted(k, m)[0] for m in range(1, n_hi + 1)) for k in ks)
+    n_window = [[counted(k, m) for m in range(1, n_hi + 1)] for k in ks]
+    N = sum(any(ok for ok, _ in pairs) for pairs in n_window)
+    # every k that N counts has a certified prime in N's window
+    n_certified = all(any(ok and not probable for ok, probable in pairs)
+                      for pairs in n_window if any(ok for ok, _ in pairs))
     qualifies = {}
     m_certified = True
     for k in ks:
@@ -464,7 +472,7 @@ def _brute_census(x, eps, allow_probable):
         "H_lower": M + 1,
         "cs_lower_bound": Fraction(sigma_ * sigma_, ssq) if ssq else 0,
         "upper_curve": 2 * x * math.log2(1 + float(eps)),
-        "certified": certified and m_certified,
+        "certified": certified and m_certified and n_certified,
         "m_detail": (list(qualifies.values()), m_certified),
         "degenerate_flags": () if ssq else ("cs_lower_bound_zero_denominator",),
     }
@@ -476,8 +484,11 @@ class TestCensusTable:
     # it (k <= 2047 lies below, k >= 2049 above).
     # (800, 6): the first window prime of k = 763 is 2^55*763 - 1, a probable
     # prime, so M's certified flag turns on the first prime of a window.
+    # (837, 17/3): N's window is m = 1..55, one row past L = 54, and k = 763
+    # has only the probable prime 2^55*763 - 1 there, which M leaves out
+    # (55 > (17/3)*log2(763)); so N's window clears the certified flag.
     GRID = [(2, 2), (4, 2), (100, Fraction(1, 2)), (300, 1), (500, Fraction(3, 2)),
-            (800, 6), (2100, 5)]
+            (800, 6), (837, Fraction(17, 3)), (2100, 5)]
 
     def test_grid_covers_the_hard_cases(self):
         B = census.TABLE_SIEVE_BOUND
@@ -490,6 +501,11 @@ class TestCensusTable:
         assert density_report(2100, 5, allow_probable=False).certified
         assert not census._m_detail(800, 6)[1]
         assert census._m_detail(800, 6, allow_probable=False)[1]
+        report = density_report(837, Fraction(17, 3))
+        assert (report.N, report.certified) == (410, False)
+        assert census._m_detail(837, Fraction(17, 3))[1]
+        report = density_report(837, Fraction(17, 3), allow_probable=False)
+        assert (report.N, report.certified) == (409, True)
 
     @pytest.mark.parametrize("allow_probable", [True, False])
     @pytest.mark.parametrize("x,eps", GRID)
@@ -543,8 +559,9 @@ class TestCensusTable:
             if k > 1 and k == 3 ** _val(k, 3) * 5 ** _val(k, 5) * 7 ** _val(k, 7))
 
     @pytest.mark.parametrize("x,eps,m,k", [
-        (100, 1, 1, 3),      # pi term from the sieve (pi_count)
-        (2000, 2, 15, 999),  # pi term from the screened enumeration
+        (100, 1, 1, 3),      # value 5: a row the screen decides exactly
+        (2000, 2, 15, 999),  # value near 2^25: decided exactly too
+        (1001, 3, 25, 999),  # value near 2^35: screen survivors are tested
     ])
     def test_planted_table_fault_breaks_sigma(self, monkeypatch, x, eps, m, k):
         build = census._prime_table
@@ -555,12 +572,32 @@ class TestCensusTable:
             return prime, probable
 
         monkeypatch.setattr(census, "_prime_table", faulty)
-        with pytest.raises(ArithmeticError, match="sigma identity"):
+        with pytest.raises(ArithmeticError, match="sigma identity") as error:
             density_report(x, eps)
+        assert str(error.value) == f"sigma identity violated at l = {m}: k = {k}"
+
+    @pytest.mark.parametrize("dropped,l,k", [(3, 1, 5), (101, 4, 827)])
+    def test_planted_sieve_fault_breaks_sigma(self, monkeypatch, dropped, l, k):
+        # The table sieves with _prime_flags and the second route does not,
+        # so a prime lost from _prime_flags leaves its multiples in the table
+        # alone.  Every value here stays below 2^32: no primality test runs.
+        sieve = census._prime_flags
+
+        def faulty(limit):
+            flags = sieve(limit).copy()
+            flags[dropped] = False
+            return flags
+
+        assert (1000 << arith.max_m_leq(1, 1000)) < 2**32
+        monkeypatch.setattr(census, "_prime_flags", faulty)
+        with pytest.raises(ArithmeticError,
+                           match=f"sigma identity violated at l = {l}: k = {k}$"):
+            density_report(1000, 1)
 
     @pytest.mark.parametrize("x,eps,lost,gained", [
-        (100, 1, 1, 2),     # pi terms from the sieve (pi_count)
-        (2000, 2, 14, 15),  # pi terms from the screened enumeration
+        (100, 1, 1, 2),     # rows the screen decides exactly
+        (2000, 2, 14, 15),  # values near 2^25: decided exactly too
+        (1001, 3, 24, 25),  # values near 2^35: screen survivors are tested
     ])
     def test_compensating_table_faults_break_sigma(self, monkeypatch, x, eps,
                                                    lost, gained):
@@ -586,7 +623,8 @@ class TestCensusTable:
         for x, eps in ((10**5 + 1000, 1), (10**4 + 1000, 5)):
             assert 100 * table_bytes(x, eps) < census.TABLE_BYTES_MAX
         assert table_bytes(10**9, 1) > census.TABLE_BYTES_MAX
-        monkeypatch.setattr(census, "_pi_terms", None)  # refused before this
+        # refused before the second route runs
+        monkeypatch.setattr(census, "_progression_primes", None)
         with pytest.raises(DomainError, match="over the budget"):
             density_report(10**9, 1)
         with pytest.raises(DomainError, match="over the budget"):

@@ -11,7 +11,7 @@ import pytest
 
 import hadcensus
 
-from hadcensus import census
+from hadcensus import census, construct
 from hadcensus.cli import (
     EXIT_COVERAGE_GAP,
     EXIT_IO,
@@ -86,6 +86,19 @@ class TestBuildVerify:
         assert code == EXIT_NO_PRIME
         assert "no prime in window" in err
         assert err == "no prime in window m = 1..9 for k = 509203\n"
+
+    def test_build_max_order_cap(self, monkeypatch, capsys):
+        def no_build(*args, **kwargs):
+            raise AssertionError("planned or built past the order cap")
+
+        # the plan is Paley I of order 160 020: 3.2 GB of packed rows alone
+        assert construct.plan_for(40005, 1).claimed_order == 160020
+        monkeypatch.setattr(construct, "plan_for", no_build)
+        monkeypatch.setattr(construct, "build_plan", no_build)
+        code, out, err = run(["build", "--k", "40005", "--epsilon", "1",
+                              "--max-order", "200000"], capsys)
+        assert (code, out) == (EXIT_IO, "")
+        assert err == "domain error: max_order 200000 exceeds 65536\n"
 
 
 class TestSearch:
