@@ -1,8 +1,8 @@
 """Exact integer arithmetic: primality, Jacobi symbol, orders, totient.
 
 Everything here is pure and deterministic.  Integers are arbitrary
-precision; the primality test is exact below 2^64 and falls back to a
-Baillie/PSW-style probable-prime test above, flagged as uncertified.
+precision; primality is exact below 2^64 (Lucas-Lehmer-Riesel for k*2^s - 1
+with odd k < 2^s, else a witness set), Baillie/PSW-style and uncertified above.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ class Verdict(Enum):
 class Method(Enum):
     TRIAL_DIVISION = "trial_division"
     DETERMINISTIC_WITNESS_SET = "deterministic_witness_set"
+    LUCAS_LEHMER_RIESEL = "lucas_lehmer_riesel"
     PROBABLE_PRIME = "probable_prime"
 
 
@@ -48,12 +49,14 @@ def _sieve_upto(limit):
 
 
 SMALL_PRIMES = _sieve_upto(1000)
+_SMALL_PRODUCT = math.prod(SMALL_PRIMES)
 _SMALL_LIMIT = SMALL_PRIMES[-1] ** 2  # trial division is exact below this
 
 # Deterministic strong-pseudoprime witness set valid for all n < 2^64
 # (Sinclair's seven-witness set).
 _WITNESSES_U64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 DETERMINISTIC_LIMIT = 1 << 64
+LLR_P_BOUND = 100  # Rodseth's P is sought below this; P + 2 < 997 keeps (P + 2 | n) != 0
 
 
 def pow_mod(base, exp, modulus):
@@ -123,8 +126,31 @@ def _strong_lucas_prp(n):
     return False
 
 
+def _llr(n):
+    """Lucas-Lehmer-Riesel (Riesel, Math. Comp. 23, 1969) for n = k*2^t - 1, odd
+    k < 2^t, n free of primes below 1000: for P with (P - 2 | n) = 1 and
+    (P + 2 | n) = -1 (Rodseth, BIT 34, 1994), n is prime iff u_{t-2} = 0 (mod n),
+    u_0 = V_k(P, 1), u_i = u_{i-1}^2 - 2.  None if k >= 2^t or P >= LLR_P_BOUND."""
+    t = ((n + 1) & -(n + 1)).bit_length() - 1
+    k = (n + 1) >> t
+    rodseth = (P for P in range(3, LLR_P_BOUND)
+               if jacobi(P - 2, n) == 1 and jacobi(P + 2, n) == -1)
+    P = None if k >> t else next(rodseth, None)  # lazy: no search when k >= 2^t
+    if P is None:  # k >= 2^t, or no such P: a composite may have none
+        return None
+    v, w = P, P * P - 2  # (V_j, V_{j+1}) for j = 1, then for k's leading bits
+    for bit in bin(k)[3:]:
+        vw = (v * w - P) % n
+        v, w = (vw, (w * w - 2) % n) if bit == "1" else ((v * v - 2) % n, vw)
+    for _ in range(t - 2):
+        v = (v * v - 2) % n
+    return _LLR_PRIME if v == 0 else _LLR_COMPOSITE
+
+
 _COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.DETERMINISTIC_WITNESS_SET, True)
 _PRIME = PrimalityResult(Verdict.PRIME, Method.DETERMINISTIC_WITNESS_SET, True)
+_LLR_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.LUCAS_LEHMER_RIESEL, True)
+_LLR_PRIME = PrimalityResult(Verdict.PRIME, Method.LUCAS_LEHMER_RIESEL, True)
 _PROBABLE = PrimalityResult(Verdict.PRIME, Method.PROBABLE_PRIME, False)
 _TRIAL_PRIME = PrimalityResult(Verdict.PRIME, Method.TRIAL_DIVISION, True)
 _TRIAL_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.TRIAL_DIVISION, True)
@@ -133,19 +159,16 @@ _NOT_PRIME = PrimalityResult(Verdict.NOT_PRIME, Method.TRIAL_DIVISION, True)
 
 @lru_cache(maxsize=1 << 21)
 def _verdict(n):
-    for p in SMALL_PRIMES:
-        if n % p == 0:
-            return _TRIAL_PRIME if n == p else _TRIAL_COMPOSITE
+    if math.gcd(n, _SMALL_PRODUCT) > 1:  # n <= 997 too; gcd(15, ...) = 15: test membership
+        return _TRIAL_PRIME if n in SMALL_PRIMES else _TRIAL_COMPOSITE
     if n < _SMALL_LIMIT:
         return _TRIAL_PRIME
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
+    if n < DETERMINISTIC_LIMIT and (proved := _llr(n)) is not None:
+        return proved
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
     if n < DETERMINISTIC_LIMIT:
-        for a in _WITNESSES_U64:
-            if _mr_composite(n, a, d, s):
-                return _COMPOSITE
-        return _PRIME
+        return _COMPOSITE if any(_mr_composite(n, a, d, s) for a in _WITNESSES_U64) else _PRIME
     if _mr_composite(n, 2, d, s):
         return _COMPOSITE
     return _PROBABLE if _strong_lucas_prp(n) else _COMPOSITE
@@ -162,9 +185,7 @@ def is_prime_bool(n, allow_probable=True):
     """Convenience predicate; with allow_probable=False a probable prime
     does not count as prime."""
     r = is_prime(n)
-    if not r:
-        return False
-    return allow_probable or r.is_certified
+    return bool(r) and (allow_probable or r.is_certified)
 
 
 def jacobi(a, n):

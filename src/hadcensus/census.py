@@ -26,7 +26,7 @@ With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -216,7 +216,7 @@ def S_count(k, L, allow_probable=True):
 
 @lru_cache(maxsize=2)
 def _screen_primes(bound):
-    return arith._sieve_upto(bound)[1:]  # odd primes <= bound
+    return np.array(arith._sieve_upto(bound)[1:])  # odd primes <= bound
 
 
 def _progression_primes(l, x, allow_probable=True):
@@ -225,25 +225,29 @@ def _progression_primes(l, x, allow_probable=True):
     identity's second route.
 
     Each odd prime p <= min(isqrt(2^l*x), SIGMA_SCREEN_BOUND) strikes out
-    every p-th k = 2j + 1 from the first with k = 2^-l (mod p), sparing
-    the one whose value is p.  Below about 2^32 (isqrt(2^l*x) within the
-    bound) the survivors are the primes; past it each one is tested.
+    every k = 2j + 1 = 2^-l (mod p), all p through one index j + rank*p,
+    sparing the k whose value is p.  Below about 2^32 (isqrt(2^l*x) within
+    the bound) the survivors are the primes; past it each one is tested.
 
     The route shares nothing with _prime_table, so that a fault in either
     shows as a disagreement: its primes come from arith's bytearray sieve,
-    not _prime_flags; each start comes from pow(2, -l, p), not an inverse
-    carried from row to row; every p strides, with no large-prime branch;
-    and it tests survivors from 2^32 on, where the table starts at 2^40.
+    not _prime_flags; each row raises (p + 1)/2 to the l-th power, with no
+    inverse carried over; every p strides, with no large-prime branch; and
+    it tests survivors from 2^32 on, where the table starts at 2^40.
     """
     keep = np.ones((x + 1) // 2, dtype=bool)
     keep[:1] = l > 1  # 2*1 - 1 = 1
     root = math.isqrt(x << l)
     primes = _screen_primes(SIGMA_SCREEN_BOUND)
-    for p in primes[: bisect_right(primes, root)]:
-        j = (pow(2, -l, p) - 1) * (p + 1) // 2 % p  # 2^-1 = (p + 1)/2 (mod p)
-        if ((2 * j + 1) << l) - 1 == p:
-            j += p
-        keep[j::p] = False
+    p = primes[: np.searchsorted(primes, root, side="right")]
+    half, inv = (p + 1) // 2, np.ones_like(p)  # 2^-1 and 2^-0 (mod p)
+    for bit in bin(l)[2:]:  # inv = half^l by square and multiply
+        inv = inv * inv % p * half ** int(bit) % p
+    j = (inv - 1) * half % p  # k = 2j + 1 = 2^-l (mod p)
+    j += p * (((p + 1) & -(p + 1)) >> l == 1)  # p + 1 = 2^l*odd: skip p's own k
+    count = np.maximum(keep.size - j + p - 1, 0) // p
+    rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    keep[np.repeat(j, count) + np.repeat(p, count) * rank] = False
     if root > SIGMA_SCREEN_BOUND:
         for j in np.flatnonzero(keep).tolist():
             keep[j] = arith.is_prime_bool(((2 * j + 1) << l) - 1, allow_probable)

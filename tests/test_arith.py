@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -78,6 +79,121 @@ class TestIsPrime:
     def test_strong_pseudoprimes_to_base_2(self):
         for n in (2047, 3277, 4033, 4681, 8321, 15841, 65281):
             assert not is_prime(n)
+
+
+class TestSmallPrimeScreen:
+    def test_matches_sieve(self):
+        primes = set(arith._sieve_upto(20_000))
+        for n in range(20_000):
+            assert bool(is_prime(n)) == (n in primes), n
+
+    def test_squarefree_products_of_small_primes(self):
+        # gcd(n, product of SMALL_PRIMES) = n for these: n itself decides
+        for n in (6, 15, 30, 105, 210, 385, 3 * 331, 991):
+            r = is_prime(n)
+            assert r.method is Method.TRIAL_DIVISION and r.is_certified
+            assert r.verdict is (Verdict.PRIME if n == 991 else Verdict.COMPOSITE), n
+
+    def test_around_the_trial_division_limit(self):
+        assert arith._SMALL_LIMIT == 997**2
+        for n in (991 * 997, 997**2):
+            assert is_prime(n).verdict is Verdict.COMPOSITE
+            assert is_prime(n).method is Method.TRIAL_DIVISION
+        assert is_prime(993_997).method is Method.TRIAL_DIVISION  # prime below the limit
+        assert is_prime(993_997).verdict is Verdict.PRIME
+        for n, prime in ((1009**2, False), (994_013, True), (1009 * 1013, False)):
+            r = is_prime(n)  # no factor below 1000, past the limit
+            assert bool(r) is prime and r.is_certified, n
+            assert r.method is not Method.TRIAL_DIVISION, n
+
+
+@pytest.fixture
+def fresh_verdicts():
+    arith._verdict.cache_clear()
+    yield
+    arith._verdict.cache_clear()
+
+
+def riesel_form(k, t):
+    return (k << t) - 1
+
+
+class TestLucasLehmerRiesel:
+    def test_method_labels(self):
+        r = is_prime(2**61 - 1)  # k = 1, t = 61
+        assert r.verdict is Verdict.PRIME and r.is_certified
+        assert r.method is Method.LUCAS_LEHMER_RIESEL
+        r = is_prime(2**59 - 1)  # 179951 * 3203431780337
+        assert r.verdict is Verdict.COMPOSITE and r.is_certified
+        assert r.method is Method.LUCAS_LEHMER_RIESEL
+        r = is_prime(10**18 + 9)  # n + 1 = 2*odd: not of the form
+        assert r.verdict is Verdict.PRIME and r.is_certified
+        assert r.method is Method.DETERMINISTIC_WITNESS_SET
+        r = is_prime(3 * 2**64 - 1)  # Riesel-form prime past 2^64
+        assert r.verdict is Verdict.PRIME and not r.is_certified
+        assert r.method is Method.PROBABLE_PRIME
+
+    def test_against_sympy_small_k(self):
+        sympy = pytest.importorskip("sympy")
+        for m in range(2, 40):
+            for k in range(1, min(1 << m, 500), 2):
+                n = riesel_form(k, m)
+                r = is_prime(n)
+                assert bool(r) == sympy.isprime(n), (k, m)
+                if n >= arith._SMALL_LIMIT and math.gcd(n, arith._SMALL_PRODUCT) == 1:
+                    assert r.method is Method.LUCAS_LEHMER_RIESEL, (k, m)
+
+    def test_against_sympy_sampled_to_2_64(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(64)
+        for _ in range(3000):
+            t = rng.randrange(20, 64)
+            k = rng.randrange(1, min(1 << t, 1 << (64 - t)), 2)
+            n = riesel_form(k, t)
+            assert n < arith.DETERMINISTIC_LIMIT
+            r = is_prime(n)
+            assert bool(r) == sympy.isprime(n), (k, t)
+            if math.gcd(n, arith._SMALL_PRODUCT) == 1:
+                assert r.method is Method.LUCAS_LEHMER_RIESEL, (k, t)
+
+    def test_both_sides_of_2_64(self, monkeypatch, fresh_verdicts):
+        below_primes = (riesel_form(4294967247, 32), riesel_form(4294967195, 32))
+        above_primes = (riesel_form(2147483649, 33), riesel_form(2147483685, 33))
+        for n in below_primes:
+            assert n < arith.DETERMINISTIC_LIMIT
+            r = is_prime(n)
+            assert r.verdict is Verdict.PRIME and r.method is Method.LUCAS_LEHMER_RIESEL
+        r = is_prime(riesel_form(4294967249, 32))  # the next odd k: composite
+        assert r.verdict is Verdict.COMPOSITE
+        # nothing at or past 2^64 reaches LLR
+        monkeypatch.setattr(arith, "_llr", lambda n: pytest.fail(f"LLR called on {n}"))
+        for n in above_primes:
+            assert n > arith.DETERMINISTIC_LIMIT
+            r = is_prime(n)
+            assert r.verdict is Verdict.PRIME and r.method is Method.PROBABLE_PRIME
+            assert not r.is_certified
+        rng = random.Random(65)
+        for _ in range(200):
+            t = rng.randrange(33, 90)
+            n = riesel_form(rng.randrange(1, 1 << 31, 2) | 1 << 31, t)
+            assert n > arith.DETERMINISTIC_LIMIT
+            assert is_prime(n).method is not Method.LUCAS_LEHMER_RIESEL
+
+    def test_p_search_bound_falls_back(self, monkeypatch, fresh_verdicts):
+        # past the bound the witness set decides, with its own label
+        monkeypatch.setattr(arith, "LLR_P_BOUND", 3)
+        for n, prime in ((2**61 - 1, True), (2**59 - 1, False)):
+            r = is_prime(n)
+            assert bool(r) is prime and r.method is Method.DETERMINISTIC_WITNESS_SET
+        # only P = 3 is tried: n with (5 | n) = 1 falls back
+        arith._verdict.cache_clear()
+        monkeypatch.setattr(arith, "LLR_P_BOUND", 4)
+        n = 2**61 - 1
+        assert jacobi(5, n) == 1
+        assert arith._llr(n) is None
+        assert is_prime(n).method is Method.DETERMINISTIC_WITNESS_SET
+        assert jacobi(5, 2**31 - 1) == -1
+        assert is_prime(2**31 - 1).method is Method.LUCAS_LEHMER_RIESEL
 
 
 ODD_PRIMES = [p for p in arith.SMALL_PRIMES if p > 2]
