@@ -7,8 +7,6 @@ from .arith import (
     is_prime,
     jacobi,
     mult_order,
-    pow_mod,
-    totient,
 )
 from .census import (
     CensusParams,
@@ -20,7 +18,6 @@ from .census import (
     S_count,
     certified_H_lower,
     density_report,
-    mangoldt,
     pi_count,
     property_p_census,
     psi,
@@ -39,11 +36,10 @@ from .matrix import (
     PlusMinusMatrix,
     is_hadamard,
     kronecker,
-    normalize,
     read_matrix,
     write_matrix,
 )
-from .solver import RieselCertificate, SearchResult, find_m, order_exponent, riesel_certificate
+from .solver import RieselCertificate, SearchResult, find_m, riesel_certificate
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: primality, Jacobi symbol, orders, totient.
+"""Exact integer arithmetic: primality, Jacobi symbol, multiplicative orders.
 
 Everything here is pure and deterministic.  Integers are arbitrary
 precision; primality is exact below 2^64 (Lucas-Lehmer-Riesel for k*2^s - 1
@@ -57,15 +57,6 @@ _SMALL_LIMIT = SMALL_PRIMES[-1] ** 2  # trial division is exact below this
 _WITNESSES_U64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 DETERMINISTIC_LIMIT = 1 << 64
 LLR_P_BOUND = 100  # Rodseth's P is sought below this; P + 2 < 997 keeps (P + 2 | n) != 0
-
-
-def pow_mod(base, exp, modulus):
-    """base**exp mod modulus for nonnegative base, exp and modulus >= 1."""
-    if modulus < 1:
-        raise DomainError("modulus must be >= 1")
-    if exp < 0:
-        raise DomainError("exponent must be nonnegative")
-    return pow(base, exp, modulus)
 
 
 def _mr_composite(n, a, d, s):
@@ -209,7 +200,7 @@ def jacobi(a, n):
 def factorize(n):
     """Trial-division factorization; returns {prime: exponent}.
 
-    Intended for desk-scale n (totient arguments, p-1 for small primes).
+    Intended for desk-scale n (p - 1 for small primes p).
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -236,16 +227,6 @@ def mult_order(a, p):
         while d % q == 0 and pow(a, d // q, p) == 1:
             d //= q
     return d
-
-
-def totient(q):
-    """Euler's phi via trial-division factorization."""
-    if q < 1:
-        raise DomainError("q must be positive")
-    result = q
-    for p in factorize(q):
-        result -= result // p
-    return result
 
 
 # --- exact exponent-window helpers -----------------------------------------

@@ -2,7 +2,7 @@
 
 S-counts and their first/second moments, the sigma reindexing identity,
 the N/M/M' censuses, primes in arithmetic progression by segmented sieve,
-the von Mangoldt function and Chebyshev psi, and the logarithmic integral
+Chebyshev psi as a von Mangoldt sum, and the logarithmic integral
 with its Riemann-sum sandwich.  Exponent-window edges are decided in exact
 rational arithmetic (see arith.max_m_leq / max_m_lt).
 
@@ -407,19 +407,6 @@ def riemann_tail_sum(M, L, a):
 
 
 # --- von Mangoldt and Chebyshev psi ------------------------------------------
-
-
-def mangoldt(k):
-    """((p, j) or None, log value): log p when k = p^j, else 0."""
-    if k < 1:
-        raise DomainError("k must be positive")
-    if k == 1:
-        return None, 0.0
-    factors = arith.factorize(k)
-    if len(factors) != 1:
-        return None, 0.0
-    [(p, j)] = factors.items()
-    return (p, j), math.log(p)
 
 
 @lru_cache(maxsize=4)

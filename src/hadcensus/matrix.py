@@ -69,13 +69,6 @@ class PlusMinusMatrix:
     def __repr__(self):
         return f"PlusMinusMatrix(order={self.n})"
 
-    def entry(self, i, j):
-        return -1 if (self.rows[i] >> j) & 1 else 1
-
-    def row_dot(self, i, j):
-        """Integer dot product of rows i and j via popcount."""
-        return self.n - 2 * (self.rows[i] ^ self.rows[j]).bit_count()
-
     @classmethod
     def from_dense(cls, dense):
         """Build from an array-like of +-1 entries."""
@@ -88,12 +81,15 @@ class PlusMinusMatrix:
 
     def to_dense(self):
         """Dense int8 array of +-1 entries."""
-        n = self.n
-        nbytes = (n + 7) // 8
-        buf = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
-        packed = np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes)
-        bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
-        return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
+        return _unpack(self, 0, self.n, np.int8)
+
+
+def _unpack(M, lo, hi, dtype):
+    """Rows lo..hi - 1 of M as an array of the given dtype: bit 1 is entry -1."""
+    nbytes = (M.n + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in M.rows[lo:hi])
+    bits = np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")
+    return np.where(bits.reshape(-1, 8 * nbytes)[:, : M.n], dtype(-1), dtype(1))
 
 
 def _pack(minus):
@@ -144,14 +140,17 @@ def _gram_verdict(M: PlusMinusMatrix) -> bool:
     n = M.n
     if n > 2 and n % 4:
         return False
-    dense = M.to_dense().astype(np.float32)
-    # The Gram matrix is symmetric: its upper triangle covers every row pair.
+    # The Gram matrix is symmetric: row blocks lo <= hi cover every row pair,
+    # and at most two blocks of GRAM_BLOCK_ENTRIES are unpacked at once.
     block = max(1, GRAM_BLOCK_ENTRIES // n)
     for lo in range(0, n, block):
-        gram = dense[lo : lo + block] @ dense[lo:].T
-        gram[np.diag_indices(len(gram))] -= n  # gram[i, i] is row lo + i with itself
-        if gram.any():
-            return False
+        top = _unpack(M, lo, lo + block, np.float32)
+        for hi in range(lo, n, block):
+            gram = top @ (top if hi == lo else _unpack(M, hi, hi + block, np.float32)).T
+            if hi == lo:
+                gram[np.diag_indices(len(gram))] -= n  # gram[i, i] is row lo + i with itself
+            if gram.any():
+                return False
     return True
 
 
@@ -173,17 +172,6 @@ def kronecker(A: PlusMinusMatrix, B: PlusMinusMatrix, max_order=MAX_ORDER_DEFAUL
                 row = (row << nb) | (brow_neg if (arow >> j) & 1 else brow)
             rows.append(row)
     return PlusMinusMatrix(n, rows)
-
-
-def normalize(M: PlusMinusMatrix) -> PlusMinusMatrix:
-    """Negate rows, then columns, so row 0 and column 0 are all +1."""
-    mask = (1 << M.n) - 1
-    # Rows whose first entry is -1 get negated: column 0 becomes all +1.
-    rows = [r ^ mask if r & 1 else r for r in M.rows]
-    # XOR by the new row 0 negates exactly the columns where row 0 is -1;
-    # column 0 is untouched because its row-0 bit is already clear.
-    top = rows[0]
-    return PlusMinusMatrix(M.n, [r ^ top for r in rows])
 
 
 def write_matrix(M: PlusMinusMatrix, path):

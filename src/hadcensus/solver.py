@@ -10,6 +10,11 @@ from typing import Optional
 from . import arith
 from .errors import CoverageGap, DomainError, NoPrimeInRange
 
+# riesel_certificate's caps, each checked before the work it bounds starts
+COVER_PRIME_MAX = 1 << 32  # exclusive: mult_order trial-divides p - 1 up to sqrt(p)
+PERIOD_MAX = 1 << 20  # residues assigned one by one, one list entry each
+SPOT_CHECKS_MAX = 1 << 20  # (r, m) pairs verified by direct reduction
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -55,14 +60,6 @@ def find_m(k, epsilon, allow_probable=True, raise_on_failure=False):
     return SearchResult(k, epsilon, bound, None, None, None)
 
 
-def order_exponent(m):
-    """Exponent l of the resulting Hadamard order 2^l*k: m for m >= 2,
-    else 2 (the m = 1 case doubles a Paley II matrix)."""
-    if m < 1:
-        raise DomainError("m must be positive")
-    return m if m >= 2 else 2
-
-
 @dataclass(frozen=True)
 class RieselCertificate:
     """Covering table proving 2^m*k - 1 composite for every m >= 0 across
@@ -99,30 +96,32 @@ def riesel_certificate(k0, step, cover, spot_check_r=range(10),
     """
     if step <= 0:
         raise DomainError("step must be positive")
+    cut = slice(SPOT_CHECKS_MAX + 1)  # a range's slice is O(1); its len cannot overflow
+    checks = len(spot_check_r[cut]) * len(spot_check_m[cut])  # exact up to the cap
+    if checks > SPOT_CHECKS_MAX:
+        raise DomainError(f"more than {SPOT_CHECKS_MAX} spot checks")
     cover = tuple(cover)
     for p in cover:
+        if p >= COVER_PRIME_MAX:
+            raise DomainError(f"cover element {p} is not below {COVER_PRIME_MAX}")
         if p == 2 or not arith.is_prime(p):
             raise DomainError(f"cover element {p} is not an odd prime")
         if k0 % p == 0:
             raise DomainError(f"cover prime {p} divides k0")
     period = lcm(*(arith.mult_order(2, p) for p in cover))
-    assignments = []
-    for m in range(period):
-        for p in cover:
-            if (pow(2, m, p) * k0 - 1) % p == 0:
-                assignments.append(p)
-                break
-        else:
-            raise CoverageGap(m, period)
+    if period > PERIOD_MAX:
+        raise DomainError(f"covering period {period} exceeds {PERIOD_MAX}")
+    assignments = [next((p for p in cover if (pow(2, m, p) * k0 - 1) % p == 0), None)
+                   for m in range(period)]
+    if None in assignments:
+        raise CoverageGap(assignments.index(None), period)
     family_invariance = all(step % p == 0 for p in cover)
-    checks = 0
     for r in spot_check_r:
         k = k0 + step * r
         for m in spot_check_m:
             p = assignments[m % period]
             if (pow(2, m, p) * k - 1) % p != 0:
                 raise CoverageGap(m, period)
-            checks += 1
     return RieselCertificate(
         k0, step, cover, period, tuple(assignments), family_invariance, checks
     )

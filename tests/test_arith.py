@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadcensus import arith
-from hadcensus.arith import Method, Verdict, is_prime, jacobi, mult_order, pow_mod, totient
+from hadcensus.arith import Method, Verdict, factorize, is_prime, jacobi, mult_order
 from hadcensus.errors import DomainError
 
 
@@ -20,20 +20,6 @@ def trial_division_prime(n):
             return False
         d += 1
     return True
-
-
-class TestPowMod:
-    def test_zero_exponent(self):
-        for n in (2, 7, 1000):
-            assert pow_mod(5, 0, n) == 1
-
-    def test_examples(self):
-        assert pow_mod(2, 10, 1000) == 24
-        assert pow_mod(2, 5, 31) == 1
-
-    def test_zero_modulus(self):
-        with pytest.raises(DomainError):
-            pow_mod(2, 3, 0)
 
 
 class TestIsPrime:
@@ -254,26 +240,37 @@ class TestMultOrder:
             assert all(pow(a, e, p) != 1 for e in range(1, d))
 
 
+def euler_phi(q):
+    """Euler's product over the primes factorize finds."""
+    result = q
+    for p in factorize(q):
+        result -= result // p
+    return result
+
+
 class TestTotient:
+    # phi counts the coprimes only when factorize finds every prime divisor
     def test_examples(self):
-        assert totient(1) == 1
-        assert totient(16) == 8
-        assert totient(12) == 4
+        assert factorize(1) == {} and euler_phi(1) == 1
+        assert factorize(16) == {2: 4} and euler_phi(16) == 8
+        assert factorize(12) == {2: 2, 3: 1} and euler_phi(12) == 4
 
     def test_powers_of_two(self):
         for l in range(31):
-            assert totient(2 ** (l + 1)) == 2**l
+            assert factorize(2 ** (l + 1)) == {2: l + 1}
+            assert euler_phi(2 ** (l + 1)) == 2**l
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
-            totient(0)
+            factorize(0)
 
     @given(st.integers(min_value=1, max_value=3000))
     @settings(max_examples=60)
     def test_counts_coprimes(self, q):
-        from math import gcd
+        from math import gcd, prod
 
-        assert totient(q) == sum(1 for i in range(1, q + 1) if gcd(i, q) == 1)
+        assert prod(p**e for p, e in factorize(q).items()) == q
+        assert euler_phi(q) == sum(1 for i in range(1, q + 1) if gcd(i, q) == 1)
 
 
 class TestWindows:

@@ -19,7 +19,6 @@ from hadcensus.census import (
     S_count,
     certified_H_lower,
     density_report,
-    mangoldt,
     pi_count,
     pi_prefix,
     property_p_census,
@@ -283,12 +282,15 @@ class TestIntegral:
 
 class TestMangoldt:
     def test_examples(self):
-        kind, value = mangoldt(8)
-        assert kind == (2, 3) and value == pytest.approx(math.log(2))
-        assert mangoldt(6) == (None, 0.0)
-        assert mangoldt(1) == (None, 0.0)
-        kind, value = mangoldt(7)
-        assert kind == (7, 1) and value == pytest.approx(math.log(7))
+        # psi(n) - psi(n - 1) over every integer is Lambda(n)
+        def step(n):
+            return psi(n, 1, 0) - psi(n - 1, 1, 0)
+
+        assert step(8) == pytest.approx(math.log(2))
+        assert step(6) == 0.0
+        assert step(1) == 0.0
+        assert step(7) == pytest.approx(math.log(7))
+        assert step(9) == pytest.approx(math.log(3))
 
 
 class TestPsi:
@@ -317,7 +319,7 @@ class TestPsi:
 
     def test_matches_scalar_mangoldt(self):
         x, q, a = 300, 4, 1
-        expected = sum(mangoldt(k)[1] for k in range(1, x + 1) if k % q == a)
+        expected = sum(brute_mangoldt(k) for k in range(1, x + 1) if k % q == a)
         assert psi(x, q, a) == pytest.approx(expected, rel=1e-12)
 
     def test_each_route_against_brute_force(self):

@@ -11,7 +11,7 @@ import pytest
 
 import hadcensus
 
-from hadcensus import census, construct
+from hadcensus import arith, census, construct, solver
 from hadcensus.cli import (
     EXIT_COVERAGE_GAP,
     EXIT_IO,
@@ -281,6 +281,29 @@ class TestErrorExits:
         # the limit itself passes the cap and goes on to build the base primes
         with pytest.raises(TableBuilt):
             census.pi_count(census.PI_MAX_X, 4, 3)
+
+    @pytest.mark.parametrize("extra,owner,guarded,message", [
+        # p - 1 is trial-divided up to sqrt(p); 2^32 + 15 is the least prime past 2^32
+        (["--cover", "3", "5", "4294967311"], arith, "mult_order",
+         "cover element 4294967311 is not below 4294967296"),
+        # ord(2) mod 1000000007 is 500000003: 12000000072 residues to assign
+        (["--cover", "3", "5", "7", "13", "17", "241", "1000000007"], solver, "pow",
+         "covering period 12000000072 exceeds 1048576"),
+        (["--r-max", "2092"], solver, "pow",  # 2093 * 501 pairs
+         "more than 1048576 spot checks"),
+        (["--r-max", "9", "--m-max", str(10**30)], solver, "pow",
+         "more than 1048576 spot checks"),
+    ])
+    def test_riesel_caps(self, extra, owner, guarded, message, monkeypatch, capsys):
+        def refused_first(*args):
+            raise AssertionError(f"{guarded} ran past a riesel cap")
+
+        # solver.pow, when set, shadows the builtin in the assignment and
+        # spot-check loops
+        monkeypatch.setattr(owner, guarded, refused_first, raising=False)
+        code, out, err = run(["riesel"] + extra, capsys)
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"domain error: {message}\n"
 
 
 def test_import_does_not_load_scipy():

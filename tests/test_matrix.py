@@ -12,7 +12,6 @@ from hadcensus.matrix import (
     PlusMinusMatrix,
     is_hadamard,
     kronecker,
-    normalize,
     read_matrix,
     write_matrix,
 )
@@ -39,13 +38,22 @@ def test_dense_round_trip():
 
 
 def test_packed_dot_matches_naive():
+    # The Gram path multiplies row blocks unpacked from the packed rows;
+    # blocks may run past the last row, as the final block of a pass does.
     rng = np.random.default_rng(1)
     for n in (3, 8, 33, 65):
         M = random_pm(rng, n)
-        dense = M.to_dense().astype(int)
-        for i in range(n):
-            for j in range(n):
-                assert M.row_dot(i, j) == int(dense[i] @ dense[j])
+        naive = [[-1 if (r >> j) & 1 else 1 for j in range(n)] for r in M.rows]
+        spans = ((0, n), (0, 1), (1, 3), (n - 2, n + 5))
+        for lo, hi in spans:
+            top = matrix._unpack(M, lo, hi, np.float32)
+            assert top.tolist() == naive[lo:hi]
+            for lo2, hi2 in spans:
+                gram = top @ matrix._unpack(M, lo2, hi2, np.float32).T
+                assert gram.tolist() == [
+                    [sum(a * b for a, b in zip(naive[i], naive[j])) for j in range(lo2, min(hi2, n))]
+                    for i in range(lo, min(hi, n))
+                ]
 
 
 def test_paley_I_and_one_flipped_entry():
@@ -157,6 +165,10 @@ def test_gram_takes_several_blocks(monkeypatch):
     negated = list(S.rows)
     negated[511] = negated[510] ^ ((1 << 512) - 1)
     assert not matrix._gram_verdict(PlusMinusMatrix(S.n, negated))
+    # row 3 = -row 300: only the pair of blocks 0 and 4 holds the fault
+    negated = list(S.rows)
+    negated[3] = negated[300] ^ ((1 << 512) - 1)
+    assert not matrix._gram_verdict(PlusMinusMatrix(S.n, negated))
 
 
 def shaped(rng, n, w):
@@ -237,26 +249,36 @@ def test_kronecker_size_guard():
         kronecker(H2, H2, max_order=3)
 
 
+def normalized(dense):
+    """Negate rows, then columns, so row 0 and column 0 are all +1."""
+    dense = dense * dense[:, :1]
+    return dense * dense[:1, :]
+
+
 def test_normalize():
-    neg = PlusMinusMatrix.from_dense([[-1]])
-    assert normalize(neg) == H1
-    S = construct.sylvester(3)
-    assert normalize(S) == S  # already normalized
-    P = normalize(construct.paley_I(3))
-    assert P.rows[0] == 0  # top row all +1
-    assert all(r & 1 == 0 for r in P.rows)  # first column all +1
-    assert is_hadamard(P)
-    assert normalize(P) == P  # idempotent
+    # Sylvester and Paley I matrices are built normalized
+    for M in (construct.sylvester(3), construct.paley_I(3), construct.paley_I(7)):
+        assert (normalized(M.to_dense()) == M.to_dense()).all()
+    # Paley II is not; normalizing it keeps H * H^T = n * I
+    P = construct.paley_II(5)
+    N = PlusMinusMatrix.from_dense(normalized(P.to_dense().astype(int)))
+    assert N != P
+    assert N.rows[0] == 0  # top row all +1
+    assert all(r & 1 == 0 for r in N.rows)  # first column all +1
+    assert is_hadamard(N)
 
 
 def test_normalize_random_hadamard():
-    rng = np.random.default_rng(5)
-    M = construct.paley_II(13)
-    # scramble signs, then renormalize: still Hadamard, clean border
-    dense = M.to_dense().astype(int)
+    # Negating a row and a column keeps H * H^T = n * I but breaks the
+    # rotation shape, so the Gram product must accept it, and again once
+    # the signs are normalized.
+    dense = construct.paley_II(13).to_dense().astype(int)
     dense[3] *= -1
     dense[:, 5] *= -1
-    N = normalize(PlusMinusMatrix.from_dense(dense))
+    M = PlusMinusMatrix.from_dense(dense)
+    assert matrix._rotation_verdict(M) is None
+    assert is_hadamard(M)
+    N = PlusMinusMatrix.from_dense(normalized(dense))
     assert is_hadamard(N)
     assert N.rows[0] == 0
 

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from hadcensus import census, solver
+from hadcensus import census, construct, solver
 from hadcensus.errors import CoverageGap, DomainError
-from hadcensus.solver import find_m, order_exponent, riesel_certificate
+from hadcensus.solver import find_m, riesel_certificate
 
 RIESEL_K0 = 509203
 RIESEL_STEP = 11184810
@@ -59,14 +59,17 @@ class TestFindM:
 
 
 class TestOrderExponent:
+    # plan_for's order is 2^l * k with l = m for m >= 2, else 2: the m = 1
+    # case doubles a Paley II matrix and k = 1 is the order-4 Sylvester matrix
     def test_values(self):
-        assert order_exponent(1) == 2
-        assert order_exponent(2) == 2
-        assert order_exponent(7) == 7
+        for k, m, l in ((1, None, 2), (3, 1, 2), (5, 2, 2), (219, 7, 7)):
+            if m is not None:
+                assert find_m(k, 1).found_m == m
+            assert construct.plan_for(k, 1).claimed_order == 2**l * k
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
-            order_exponent(0)
+            construct.plan_for(0, 1)
 
 
 class TestRieselCertificate:
@@ -117,3 +120,22 @@ class TestRieselCertificate:
         assert d["period"] == 24
         assert d["spot_checks"] == 20
         assert set(d["assignments"]) == {str(m) for m in range(24)}
+
+    @pytest.mark.parametrize("cap,at", [
+        ("COVER_PRIME_MAX", 242),  # exclusive: the largest cover prime is 241
+        ("PERIOD_MAX", 24),
+        ("SPOT_CHECKS_MAX", 20),
+    ])
+    def test_caps_admit_their_limit(self, cap, at, monkeypatch):
+        def certificate():
+            return riesel_certificate(
+                RIESEL_K0, RIESEL_STEP, RIESEL_COVER,
+                spot_check_r=range(2), spot_check_m=range(10),
+            )
+
+        monkeypatch.setattr(solver, cap, at)
+        cert = certificate()
+        assert (cert.period, cert.spot_checks) == (24, 20)
+        monkeypatch.setattr(solver, cap, at - 1)
+        with pytest.raises(DomainError):
+            certificate()
