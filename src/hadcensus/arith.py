@@ -38,6 +38,10 @@ class PrimalityResult:
     def __bool__(self):
         return self.verdict is Verdict.PRIME
 
+    def counts(self, allow_probable):
+        """Counts as prime: a probable prime only with allow_probable."""
+        return bool(self) and (allow_probable or self.is_certified)
+
 
 def _sieve_upto(limit):
     flags = bytearray([1]) * (limit + 1)
@@ -175,8 +179,7 @@ def is_prime(n):
 def is_prime_bool(n, allow_probable=True):
     """Convenience predicate; with allow_probable=False a probable prime
     does not count as prime."""
-    r = is_prime(n)
-    return bool(r) and (allow_probable or r.is_certified)
+    return is_prime(n).counts(allow_probable)
 
 
 def jacobi(a, n):

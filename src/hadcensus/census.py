@@ -36,15 +36,18 @@ import numpy as np
 from . import arith
 from .errors import DomainError, WindowError
 
-SEGMENT_SIZE_DEFAULT = 1 << 20
-PI_MAX_X = 10**11  # ~5 minutes of sieving at 2.7 s per 10^9 on one 2-vCPU VM core
+SEGMENT_SIZE = 1 << 20  # integers per pi sieve segment
+# ~5 minutes of sieving at 2.7 s per 10^9 on one 2-vCPU VM core; up to it the
+# base primes and one segment's odd flags take about 1 MB
+PI_MAX_X = 10**11
 PSI_MAX_X = 10**8  # psi's int32 spf and bool prime tables take ~5*x bytes
+PSI_REL_TOL = 1e-9  # psi's two routes agree to this, relative to the larger
 # Census table rows sieve with odd primes up to this; past its square,
 # their survivors are tested one by one.
 TABLE_SIEVE_BOUND = 1 << 20
 # The sigma check's second route screens with odd primes up to this.
 SIGMA_SCREEN_BOUND = 1 << 16
-TABLE_BYTES_MAX = 1 << 28  # bytes: _prime_table (2*rows*(x+1)//2), pi sieve
+TABLE_BYTES_MAX = 1 << 28  # bytes: _prime_table (2*rows*(x+1)//2)
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ def _prime_table(x, epsilon, allow_probable=True):
         if root > TABLE_SIEVE_BOUND:  # survivors may still be composite
             for i in np.flatnonzero(row).tolist():
                 r = arith.is_prime(((2 * i + 1) << m) - 1)
-                row[i] = bool(r) and (allow_probable or r.is_certified)
+                row[i] = r.counts(allow_probable)
                 probable[m - 1, i] = row[i] and not r.is_certified
     return prime, probable
 
@@ -321,18 +324,13 @@ def _prime_flags(limit):
     return flags
 
 
-def _progression_hits(limit, q, a, segment_size):
-    """(n, step, hits) for 2, then per segment of 2..limit: hits[j] when
-    n + j*step is a prime congruent to a mod q.  A segment sieves its odd
-    integers o + 2i only; the class's odd members, r mod lcm(2, q), are a
-    strided slice of them."""
+def _progression_hits(limit, q, a):
+    """(n, step, hits) for 2, then per SEGMENT_SIZE integers of 2..limit:
+    hits[j] when n + j*step is a prime congruent to a mod q.  A segment
+    sieves its odd integers o + 2i only; the class's odd members, r mod
+    lcm(2, q), are a strided slice of them."""
     if q < 1:
         raise DomainError("q must be positive")
-    if segment_size < 1:
-        raise DomainError("segment_size must be positive")
-    root = math.isqrt(max(limit, 0))  # base primes' table, then one segment
-    if root + min(segment_size, limit) // 2 > TABLE_BYTES_MAX:
-        raise DomainError(f"pi sieve for x = {limit} exceeds {TABLE_BYTES_MAX} bytes")
     if limit > PI_MAX_X:
         raise DomainError(f"x = {limit} exceeds the pi limit {PI_MAX_X}")
     if limit >= 2 and (2 - a) % q == 0:
@@ -341,9 +339,9 @@ def _progression_hits(limit, q, a, segment_size):
     if r % 2 == 0:  # q and a even: no odd member
         return
     period = q * 2 // math.gcd(2, q)
-    base = np.flatnonzero(_prime_flags(root))[1:]
-    for lo in range(2, limit + 1, segment_size):
-        hi = min(lo + segment_size - 1, limit)
+    base = np.flatnonzero(_prime_flags(math.isqrt(max(limit, 0))))[1:]
+    for lo in range(2, limit + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE - 1, limit)
         o = lo | 1
         flags = np.ones((hi - o) // 2 + 1, dtype=bool)
         p = base[: np.searchsorted(base, math.isqrt(hi), side="right")]
@@ -355,17 +353,16 @@ def _progression_hits(limit, q, a, segment_size):
         yield o + 2 * i0, period, flags[i0 :: period // 2]
 
 
-def pi_count(x, q, a, segment_size=SEGMENT_SIZE_DEFAULT):
+def pi_count(x, q, a):
     """Primes p <= x with p = a (mod q), by segmented sieve."""
-    return sum(int(np.count_nonzero(hits))
-               for _, _, hits in _progression_hits(x, q, a, segment_size))
+    return sum(int(np.count_nonzero(hits)) for _, _, hits in _progression_hits(x, q, a))
 
 
-def pi_prefix(limit, q, a, segment_size=SEGMENT_SIZE_DEFAULT):
+def pi_prefix(limit, q, a):
     """Array c with c[x] = pi_count(x, q, a) for every x in 0..limit,
     built from the same segmented machinery."""
     marks = np.zeros(limit + 1, dtype=bool)
-    for n, step, hits in _progression_hits(limit, q, a, segment_size):
+    for n, step, hits in _progression_hits(limit, q, a):
         marks[n : n + step * hits.size : step] = hits
     return np.cumsum(marks, dtype=np.int64)
 
@@ -463,11 +460,11 @@ def psi_paths(x, q, a):
     return direct, total
 
 
-def psi(x, q, a, rel_tol=1e-9):
-    """Chebyshev psi(x; q, a); both routes must agree to rel_tol."""
+def psi(x, q, a):
+    """Chebyshev psi(x; q, a); both routes must agree to PSI_REL_TOL."""
     direct, enumerated = psi_paths(x, q, a)
     scale = max(abs(direct), abs(enumerated), 1.0)
-    if abs(direct - enumerated) > rel_tol * scale:
+    if abs(direct - enumerated) > PSI_REL_TOL * scale:
         raise ArithmeticError(f"psi paths disagree: {direct} vs {enumerated}")
     return direct
 

@@ -111,9 +111,7 @@ def cmd_riesel(args):
 
 
 def cmd_pi(args):
-    count = census.pi_count(args.x, args.q, args.a,
-                            segment_size=args.segment_size)
-    print(count)
+    print(census.pi_count(args.x, args.q, args.a))
     return EXIT_OK
 
 
@@ -173,9 +171,6 @@ def build_parser():
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--segment-size", type=int,
-                   default=census.SEGMENT_SIZE_DEFAULT,
-                   help="integers per sieve segment (default %(default)s)")
     p.set_defaults(func=cmd_pi)
 
     p = sub.add_parser("psi", help="Chebyshev psi(x; q, a)")

@@ -12,6 +12,7 @@ import numpy as np
 from . import arith, solver
 from .errors import (
     DomainError,
+    NoPrimeInRange,
     NotPrimeError,
     ResidueClassError,
     SizeError,
@@ -107,12 +108,12 @@ def kronecker_node(left, right):
     )
 
 
-def sylvester(t, max_order=MAX_ORDER_DEFAULT):
+def sylvester(t):
     """Order-2^t Sylvester matrix by recursive doubling."""
     if t < 0:
         raise DomainError("t must be nonnegative")
-    if (1 << t) > max_order:
-        raise SizeError(f"order 2^{t} exceeds max_order {max_order}")
+    if (1 << t) > MAX_ORDER_DEFAULT:
+        raise SizeError(f"order 2^{t} exceeds max_order {MAX_ORDER_DEFAULT}")
     rows = [0]
     size = 1
     for _ in range(t):
@@ -133,23 +134,23 @@ def _quadratic_character_row(q):
     return chi
 
 
-def paley_I(q, max_order=MAX_ORDER_DEFAULT):
+def paley_I(q):
     """Paley construction I: order q+1 for prime q = 3 mod 4."""
     _check_paley_prime(q, PALEY_I)
-    if q + 1 > max_order:
-        raise SizeError(f"order {q + 1} exceeds max_order {max_order}")
+    if q + 1 > MAX_ORDER_DEFAULT:
+        raise SizeError(f"order {q + 1} exceeds max_order {MAX_ORDER_DEFAULT}")
     chi = _quadratic_character_row(q)
     # Row 0 all +1; row 1 a +1 border, then -1 on the diagonal and chi(d)
     # for d = 1..q-1.  Core row i is row 1's core rotated by i.
     return extend_by_rotation([np.ones(q + 1), np.r_[1, -1, chi[1:]]])
 
 
-def paley_II(q, max_order=MAX_ORDER_DEFAULT):
+def paley_II(q):
     """Paley construction II: order 2(q+1) for prime q = 1 mod 4."""
     _check_paley_prime(q, PALEY_II)
     n = 2 * (q + 1)
-    if n > max_order:
-        raise SizeError(f"order {n} exceeds max_order {max_order}")
+    if n > MAX_ORDER_DEFAULT:
+        raise SizeError(f"order {n} exceeds max_order {MAX_ORDER_DEFAULT}")
     chi = _quadratic_character_row(q)
     # The first two rows of the symmetric conference matrix C of order q+1
     # (chi(-1) = +1 here; C's core is circulant), then the first four of
@@ -159,22 +160,19 @@ def paley_II(q, max_order=MAX_ORDER_DEFAULT):
     return extend_by_rotation(top)
 
 
-def build_plan(plan: ConstructionPlan, max_order=MAX_ORDER_DEFAULT) -> PlusMinusMatrix:
-    """Materialize a recipe tree bottom-up."""
-    if plan.claimed_order > max_order:
-        raise SizeError(
-            f"order {plan.claimed_order} exceeds max_order {max_order}"
-        )
+def build_plan(plan: ConstructionPlan) -> PlusMinusMatrix:
+    """Materialize a recipe tree bottom-up, refusing an order over
+    MAX_ORDER_DEFAULT before any node is built."""
+    if plan.claimed_order > MAX_ORDER_DEFAULT:
+        raise SizeError(f"order {plan.claimed_order} exceeds max_order {MAX_ORDER_DEFAULT}")
     if plan.kind == SYLVESTER:
-        return sylvester(plan.t, max_order=max_order)
+        return sylvester(plan.t)
     if plan.kind == PALEY_I:
-        return paley_I(plan.q, max_order=max_order)
+        return paley_I(plan.q)
     if plan.kind == PALEY_II:
-        return paley_II(plan.q, max_order=max_order)
+        return paley_II(plan.q)
     if plan.kind == KRONECKER:
-        left = build_plan(plan.left, max_order=max_order)
-        right = build_plan(plan.right, max_order=max_order)
-        return kronecker(left, right, max_order=max_order)
+        return kronecker(build_plan(plan.left), build_plan(plan.right))
     raise ValueError(f"unknown plan node kind {plan.kind!r}")
 
 
@@ -190,9 +188,10 @@ def plan_for(k, epsilon, allow_probable=True) -> ConstructionPlan:
         raise DomainError("k must be odd and positive")
     if k == 1:
         return sylvester_leaf(2)
-    result = solver.find_m(k, epsilon, allow_probable=allow_probable,
-                           raise_on_failure=True)
+    result = solver.find_m(k, epsilon, allow_probable=allow_probable)
     m = result.found_m
+    if m is None:
+        raise NoPrimeInRange(k, epsilon, 1, result.m_bound)
     if m == 1:
         return paley_ii_leaf(2 * k - 1)  # order 2(2k) = 2^2 * k
     return paley_i_leaf((1 << m) * k - 1)  # order 2^m * k
@@ -204,5 +203,5 @@ def hadamard_for(k, epsilon, max_order=MAX_ORDER_DEFAULT, allow_probable=True):
     if max_order > MAX_ORDER_DEFAULT:
         raise DomainError(f"max_order {max_order} exceeds {MAX_ORDER_DEFAULT}")
     plan = plan_for(k, epsilon, allow_probable=allow_probable)
-    matrix = build_plan(plan, max_order=max_order) if plan.claimed_order <= max_order else None
+    matrix = build_plan(plan) if plan.claimed_order <= max_order else None
     return plan, matrix

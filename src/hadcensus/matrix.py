@@ -154,11 +154,11 @@ def _gram_verdict(M: PlusMinusMatrix) -> bool:
     return True
 
 
-def kronecker(A: PlusMinusMatrix, B: PlusMinusMatrix, max_order=MAX_ORDER_DEFAULT):
-    """Kronecker product A (x) B."""
+def kronecker(A: PlusMinusMatrix, B: PlusMinusMatrix):
+    """Kronecker product A (x) B, of order at most MAX_ORDER_DEFAULT."""
     n = A.n * B.n
-    if n > max_order:
-        raise SizeError(f"order {n} exceeds max_order {max_order}")
+    if n > MAX_ORDER_DEFAULT:
+        raise SizeError(f"order {n} exceeds max_order {MAX_ORDER_DEFAULT}")
     nb = B.n
     mask_b = (1 << nb) - 1
     rows = []

@@ -8,7 +8,7 @@ from math import lcm
 from typing import Optional
 
 from . import arith
-from .errors import CoverageGap, DomainError, NoPrimeInRange
+from .errors import CoverageGap, DomainError
 
 # riesel_certificate's caps, each checked before the work it bounds starts
 COVER_PRIME_MAX = 1 << 32  # exclusive: mult_order trial-divides p - 1 up to sqrt(p)
@@ -40,7 +40,7 @@ class SearchResult:
         }
 
 
-def find_m(k, epsilon, allow_probable=True, raise_on_failure=False):
+def find_m(k, epsilon, allow_probable=True):
     """Smallest m in 1..floor(epsilon*log2(k)) with 2^m*k - 1 prime.
 
     Window membership is decided in exact rational arithmetic.  Probable
@@ -53,10 +53,8 @@ def find_m(k, epsilon, allow_probable=True, raise_on_failure=False):
     bound = arith.max_m_leq(epsilon, k)
     for m in range(1, bound + 1):
         r = arith.is_prime((1 << m) * k - 1)
-        if r and (allow_probable or r.is_certified):
+        if r.counts(allow_probable):
             return SearchResult(k, epsilon, bound, m, (1 << m) * k - 1, r)
-    if raise_on_failure:
-        raise NoPrimeInRange(k, epsilon, 1, bound)
     return SearchResult(k, epsilon, bound, None, None, None)
 
 
@@ -92,12 +90,17 @@ def riesel_certificate(k0, step, cover, spot_check_r=range(10),
     For each residue m mod period (period = lcm of ord_p(2) over the
     cover), finds a prime p in the cover with 2^m*k0 = 1 (mod p); raises
     CoverageGap when a residue has none.  Every (r, m) in the spot-check
-    ranges is additionally verified by direct modular reduction.
+    ranges is additionally verified by direct modular reduction; k0 < 1
+    and an empty range, which would skip that check, are refused first.
     """
-    if step <= 0:
-        raise DomainError("step must be positive")
     cut = slice(SPOT_CHECKS_MAX + 1)  # a range's slice is O(1); its len cannot overflow
     checks = len(spot_check_r[cut]) * len(spot_check_m[cut])  # exact up to the cap
+    if k0 < 1:
+        raise DomainError("k0 must be positive")
+    if not checks:
+        raise DomainError("spot-check grid is empty")
+    if step <= 0:
+        raise DomainError("step must be positive")
     if checks > SPOT_CHECKS_MAX:
         raise DomainError(f"more than {SPOT_CHECKS_MAX} spot checks")
     cover = tuple(cover)

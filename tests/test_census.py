@@ -202,19 +202,18 @@ class TestPiCount:
                 if x % 379 == 0:  # sample of x values
                     assert pi_count(x, q, a) == expect
 
-    def test_prefix_matches_point_queries(self):
-        pref = pi_prefix(2000, 4, 3, segment_size=256)
-        for x in (0, 1, 2, 3, 100, 1999, 2000):
-            assert int(pref[x]) == pi_count(x, 4, 3)
+    def test_prefix_matches_point_queries(self, monkeypatch):
+        point = {x: pi_count(x, 4, 3) for x in (0, 1, 2, 3, 100, 1999, 2000)}
+        monkeypatch.setattr(census, "SEGMENT_SIZE", 256)
+        pref = pi_prefix(2000, 4, 3)
+        for x, count in point.items():
+            assert int(pref[x]) == count
 
-    def test_small_segments(self):
-        assert pi_count(100, 4, 3, segment_size=7) == 13
-
-    def test_segment_size_domain(self):
-        with pytest.raises(DomainError):
-            pi_count(100, 4, 3, segment_size=0)
-        with pytest.raises(DomainError):
-            pi_prefix(100, 4, 3, segment_size=-1)
+    def test_small_segments(self, monkeypatch):
+        monkeypatch.setattr(census, "SEGMENT_SIZE", 7)
+        assert pi_count(100, 4, 3) == 13
+        # the sieve reads the patched size: 2..100 in 15 segments
+        assert len(list(census._progression_hits(100, 4, 3))) == 15
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -227,11 +226,14 @@ class TestPiCount:
                       | st.integers(min_value=-2, max_value=NAIVE_LIMIT), label="x")
         hits = [NAIVE_FLAGS[k] and (k - a) % q == 0 for k in range(max(x + 1, 0))]
         naive = np.cumsum(hits, dtype=np.int64)
-        assert pi_count(x, q, a, segment_size=seg) == (naive[-1] if x >= 0 else 0)
-        if x >= -1:
-            pref = pi_prefix(x, q, a, segment_size=seg)
-            assert pref.dtype == np.int64
-            assert np.array_equal(pref, naive)
+        # hypothesis refuses the function-scoped monkeypatch fixture
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(census, "SEGMENT_SIZE", seg)
+            assert pi_count(x, q, a) == (naive[-1] if x >= 0 else 0)
+            if x >= -1:
+                pref = pi_prefix(x, q, a)
+                assert pref.dtype == np.int64
+                assert np.array_equal(pref, naive)
 
     @pytest.mark.parametrize("l,count", [
         (1, 2880504), (2, 1440544), (3, 720456),

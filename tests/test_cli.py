@@ -231,8 +231,7 @@ class TestErrorExits:
          "domain error: epsilon must be positive"),
         (["riesel", "--cover", "4", "5"],
          "domain error: cover element 4 is not an odd prime"),
-        (["pi", "--x", "100", "--q", "4", "--a", "3", "--segment-size", "0"],
-         "domain error: segment_size must be positive"),
+        (["riesel", "--k0", "0"], "domain error: k0 must be positive"),
         (["psi", "--x", "100000001", "--q", "4", "--a", "1"],
          "domain error: x = 100000001 exceeds the psi limit 100000000"),
         (["census", "--x", "1000000000", "--epsilon", "1"],
@@ -242,29 +241,16 @@ class TestErrorExits:
          "domain error: epsilon too large: k^numerator over 16777216 bits"),
         (["census", "--x", "5", "--epsilon", "1000000000001/1000000000000"],
          "domain error: epsilon too large: k^numerator over 16777216 bits"),
+        # the certificate would cover no family, or spot-check nothing
+        (["riesel", "--k0", "-509203"], "domain error: k0 must be positive"),
+        (["riesel", "--r-max", "-5"], "domain error: spot-check grid is empty"),
+        (["riesel", "--m-max", "-1"], "domain error: spot-check grid is empty"),
     ])
     def test_bad_argument_exits_with_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
         assert code == EXIT_IO
         assert out == ""
         assert err == message + "\n"
-
-    @pytest.mark.parametrize("x,extra", [
-        (10**20, []),                                 # the base-prime table
-        (10**12, ["--segment-size", str(10**12)]),    # one segment
-    ])
-    def test_pi_sieve_budget(self, x, extra, monkeypatch, capsys):
-        def no_table(limit):
-            raise AssertionError("a table was built past the budget")
-
-        # the benchmark's pi inputs stay far below the budget
-        assert 100 * (math.isqrt(10**8) + census.SEGMENT_SIZE_DEFAULT // 2) \
-            < census.TABLE_BYTES_MAX
-        monkeypatch.setattr(census, "_prime_flags", no_table)
-        code, out, err = run(["pi", "--x", str(x), "--q", "4", "--a", "3"] + extra,
-                             capsys)
-        assert (code, out) == (EXIT_IO, "")
-        assert err == f"domain error: pi sieve for x = {x} exceeds 268435456 bytes\n"
 
     def test_pi_x_cap(self, monkeypatch, capsys):
         class TableBuilt(Exception):
@@ -274,10 +260,12 @@ class TestErrorExits:
             raise TableBuilt
 
         monkeypatch.setattr(census, "_prime_flags", no_table)
-        x = 10**16  # within the byte budget, but a sieve of 10^16 integers
-        code, out, err = run(["pi", "--x", str(x), "--q", "4", "--a", "3"], capsys)
-        assert (code, out) == (EXIT_IO, "")
-        assert err == f"domain error: x = {x} exceeds the pi limit 100000000000\n"
+        # a sieve of 10^16 integers; at 10^20 the base-prime table alone
+        # would take 10^10 bytes
+        for x in (10**16, 10**20):
+            code, out, err = run(["pi", "--x", str(x), "--q", "4", "--a", "3"], capsys)
+            assert (code, out) == (EXIT_IO, "")
+            assert err == f"domain error: x = {x} exceeds the pi limit 100000000000\n"
         # the limit itself passes the cap and goes on to build the base primes
         with pytest.raises(TableBuilt):
             census.pi_count(census.PI_MAX_X, 4, 3)

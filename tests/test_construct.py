@@ -36,8 +36,8 @@ def test_sylvester_small():
 
 
 def test_sylvester_size_guard():
-    with pytest.raises(SizeError):
-        sylvester(5, max_order=16)
+    with pytest.raises(SizeError, match=f"order 2\\^17 exceeds max_order {MAX_ORDER_DEFAULT}"):
+        sylvester(17)
 
 
 def test_paley_I():
@@ -94,12 +94,7 @@ def test_paley_rows_match_dense_reference():
 
 
 def test_paley_size_guard():
-    with pytest.raises(SizeError):
-        paley_I(11, max_order=11)
-    with pytest.raises(SizeError):
-        paley_II(13, max_order=27)
-    assert paley_II(13, max_order=28).n == 28
-    for build, q in ((paley_I, 65539), (paley_II, 32789)):  # default max_order
+    for build, q in ((paley_I, 65539), (paley_II, 32789)):
         with pytest.raises(SizeError, match=f"max_order {MAX_ORDER_DEFAULT}"):
             build(q)
 
@@ -117,6 +112,17 @@ def test_build_plan_examples():
     M = build_plan(plan)
     assert M.n == 8 and plan.claimed_order == 8
     assert is_hadamard(M)
+
+
+def test_build_plan_refuses_before_building(monkeypatch):
+    def built(*args):
+        raise AssertionError("a child was built under an oversized node")
+
+    # both children fit the cap; their product, 2^17, does not
+    plan = kronecker_node(sylvester_leaf(9), sylvester_leaf(8))
+    monkeypatch.setattr(construct, "sylvester", built)
+    with pytest.raises(SizeError, match=f"order 131072 exceeds max_order {MAX_ORDER_DEFAULT}"):
+        build_plan(plan)
 
 
 def test_build_plan_leaf_failure_propagates():

@@ -246,7 +246,7 @@ def test_kronecker_entry_semantics():
 
 def test_kronecker_size_guard():
     with pytest.raises(SizeError):
-        kronecker(H2, H2, max_order=3)
+        kronecker(construct.sylvester(9), construct.sylvester(8))  # order 2^17
 
 
 def normalized(dense):
