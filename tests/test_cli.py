@@ -252,6 +252,23 @@ class TestErrorExits:
         assert out == ""
         assert err == message + "\n"
 
+    @pytest.mark.parametrize("x,extra", [
+        (10**20, []),  # the base-prime table alone would take 10^10 bytes
+    ])
+    def test_pi_sieve_budget(self, x, extra, monkeypatch, capsys):
+        def no_table(limit):
+            raise AssertionError("a table was built past the budget")
+
+        # at the x cap the sieve's tables (base flags and one segment of
+        # odd integers) stay far below the budget
+        assert 100 * (math.isqrt(census.PI_MAX_X) + census.SEGMENT_SIZE // 2) \
+            < census.TABLE_BYTES_MAX
+        monkeypatch.setattr(census, "_prime_flags", no_table)
+        code, out, err = run(["pi", "--x", str(x), "--q", "4", "--a", "3"] + extra,
+                             capsys)
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"domain error: x = {x} exceeds the pi limit 100000000000\n"
+
     def test_pi_x_cap(self, monkeypatch, capsys):
         class TableBuilt(Exception):
             pass
@@ -260,12 +277,10 @@ class TestErrorExits:
             raise TableBuilt
 
         monkeypatch.setattr(census, "_prime_flags", no_table)
-        # a sieve of 10^16 integers; at 10^20 the base-prime table alone
-        # would take 10^10 bytes
-        for x in (10**16, 10**20):
-            code, out, err = run(["pi", "--x", str(x), "--q", "4", "--a", "3"], capsys)
-            assert (code, out) == (EXIT_IO, "")
-            assert err == f"domain error: x = {x} exceeds the pi limit 100000000000\n"
+        x = 10**16  # a sieve of 10^16 integers
+        code, out, err = run(["pi", "--x", str(x), "--q", "4", "--a", "3"], capsys)
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"domain error: x = {x} exceeds the pi limit 100000000000\n"
         # the limit itself passes the cap and goes on to build the base primes
         with pytest.raises(TableBuilt):
             census.pi_count(census.PI_MAX_X, 4, 3)
