@@ -13,16 +13,10 @@ from .census import (
     CensusReport,
     I_closed,
     I_quadrature,
-    M_eps,
-    N_eps,
     S_count,
-    certified_H_lower,
     density_report,
     pi_count,
-    property_p_census,
     psi,
-    sigma,
-    sum_S_squared,
 )
 from .construct import (
     ConstructionPlan,

@@ -237,7 +237,9 @@ def mult_order(a, p):
 # Window membership tests of the form m <= eps*log2(k) are decided in exact
 # integer arithmetic: with eps = num/den, the condition is 2^(m*den) <= k^num.
 # k^num is refused past POWER_BITS_MAX bits (eps = 1e300 would need ~10^300).
-POWER_BITS_MAX = 1 << 24
+# A census's window bounds build k^num about 200 times, at 1 to 5 s each
+# at 2^24 bits.
+POWER_BITS_MAX = 1 << 18
 
 
 def _window_epsilon(epsilon, k):

@@ -6,13 +6,16 @@ Chebyshev psi as a von Mangoldt sum, and the logarithmic integral
 with its Riemann-sum sandwich.  Exponent-window edges are decided in exact
 rational arithmetic (see arith.max_m_leq / max_m_lt).
 
-A census sieves one table of prime flags for 2^m*k - 1 (_prime_table);
-S, sum S^2, N, M, M' and the certified flag are reductions of it.  The
-sigma identity checks it row by row against one second route,
+A census, density_report, sieves one table of prime flags for 2^m*k - 1
+(_prime_table); S, sum S^2, N, M, M' and the certified flag are reductions
+of it.  The sigma identity checks it row by row against one second route,
 _progression_primes: a strided screen of the progression by the primes to
 SIGMA_SCREEN_BOUND, exact below 2^32 and primality-tested past it, which
-shares no sieve, inverse or branch with the table.  The first k whose
-flags differ names the fault.  pi_count sieves odd integers only and
+shares no sieve, inverse or branch with the table.  Both routes take their
+primality verdicts from arith's cached _verdict, so past 2^40, where the
+table tests too, the check covers the table's sieve and indexing, not
+arith's primality test (ROADMAP open item 1).  The first k whose flags
+differ names the fault.  pi_count sieves odd integers only and
 counts a class as a strided slice; psi's two routes share no table.  Past
 TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
 
@@ -52,33 +55,23 @@ TABLE_BYTES_MAX = 1 << 28  # bytes: _prime_table (2*rows*(x+1)//2)
 
 @dataclass(frozen=True)
 class CensusParams:
+    """A census's inputs and window, as in its JSON "params" object."""
+
     x: int
     epsilon: Fraction
     L: int  # floor(epsilon*log2(x)) - 1
-
-    @classmethod
-    def create(cls, x, epsilon):
-        epsilon = Fraction(epsilon)
-        if x < 1:
-            raise DomainError("x must be positive")
-        return cls(x, epsilon, arith.max_m_leq(epsilon, x) - 1)
-
-    def require_window(self):
-        if self.L < 1:
-            raise WindowError(f"empty window: L = {self.L} for x = {self.x}, "
-                              f"epsilon = {self.epsilon}")
 
 
 @dataclass(frozen=True)
 class CensusReport:
     params: CensusParams
-    sigma: int
+    sigma: int  # sum of S(k, L) over odd k <= x
     pi_terms: tuple  # ((l, count), ...)
     sum_S_squared: int
-    N: int
-    M: int
-    M_prime: int
-    H_lower: int
+    N: int  # odd k <= x with a counted prime 2^m*k - 1, m < epsilon*log2(x)
+    M: int  # odd k <= x with a counted prime 2^m*k - 1, m <= epsilon*log2(k)
+    M_prime: int  # odd k <= x that are products of k that M counts
+    H_lower: int  # 1 + M: k = 1 (Sylvester) and every k that M counts
     cs_lower_bound: Fraction
     upper_curve: float
     certified: bool
@@ -232,11 +225,14 @@ def _progression_primes(l, x, allow_probable=True):
     sparing the k whose value is p.  Below about 2^32 (isqrt(2^l*x) within
     the bound) the survivors are the primes; past it each one is tested.
 
-    The route shares nothing with _prime_table, so that a fault in either
-    shows as a disagreement: its primes come from arith's bytearray sieve,
-    not _prime_flags; each row raises (p + 1)/2 to the l-th power, with no
-    inverse carried over; every p strides, with no large-prime branch; and
-    it tests survivors from 2^32 on, where the table starts at 2^40.
+    The route shares no sieve or indexing with _prime_table, so that a
+    fault in the sieve or indexing of either shows as a disagreement: its
+    primes come from arith's bytearray sieve, not _prime_flags; each row
+    raises (p + 1)/2 to the l-th power, with no inverse carried over; every
+    p strides, with no large-prime branch.  Its primality tests are not independent: from 2^32
+    to 2^40 they face the table's sieve, but past 2^40 the table asks the
+    same lru-cached arith._verdict, and most answers are cache hits on the
+    table's own verdicts, so a fault in arith's test shows in neither.
     """
     keep = np.ones((x + 1) // 2, dtype=bool)
     keep[:1] = l > 1  # 2*1 - 1 = 1
@@ -255,60 +251,6 @@ def _progression_primes(l, x, allow_probable=True):
         for j in np.flatnonzero(keep).tolist():
             keep[j] = arith.is_prime_bool(((2 * j + 1) << l) - 1, allow_probable)
     return keep
-
-
-def sigma(params: CensusParams, allow_probable=True):
-    """(sigma, pi_terms): sum of S(k, L) over odd k <= x, cross-checked
-    against the per-l progression counts; raises on disagreement."""
-    report = density_report(params.x, params.epsilon, allow_probable)
-    return report.sigma, report.pi_terms
-
-
-def sum_S_squared(params: CensusParams, allow_probable=True):
-    """Sum of S(k, L)^2 over odd k <= x (after the sigma cross-check)."""
-    return density_report(params.x, params.epsilon, allow_probable).sum_S_squared
-
-
-# --- the N / M / M' censuses -------------------------------------------------
-
-
-def N_eps(x, epsilon, allow_probable=True):
-    """Odd k <= x with 2^m*k - 1 prime for some positive m < epsilon*log2(x)
-    (strict window, fixed by x)."""
-    if x < 1:
-        return 0
-    return _n_window(*_prime_table(x, epsilon, allow_probable), epsilon, x)[0]
-
-
-def _m_detail(x, epsilon, allow_probable=True):
-    """(qualifying-k bool list indexed (k-1)//2, certified)."""
-    prime, probable = _prime_table(x, epsilon, allow_probable)
-    flags, certified = _m_window(prime, probable, epsilon, x)
-    return flags.tolist(), certified
-
-
-def M_eps(x, epsilon, allow_probable=True):
-    """Odd k <= x with 2^m*k - 1 prime for some positive m <= epsilon*log2(k)
-    (non-strict window, per-k)."""
-    if x < 1:
-        return 0
-    return sum(_m_detail(x, epsilon, allow_probable)[0])
-
-
-def property_p_census(x, epsilon, allow_probable=True):
-    """M'(x): odd k <= x expressible as a product of factors that each pass
-    the M-window condition individually (multiplicative closure)."""
-    if x < 3:
-        return 0
-    return _closure_count(_m_detail(x, epsilon, allow_probable)[0], x)
-
-
-def certified_H_lower(x, epsilon, allow_probable=True):
-    """Count of odd k <= x for which the construction pipeline yields a
-    plan: k = 1 (Sylvester order 4) plus every M-window success."""
-    if x < 1:
-        return 0
-    return 1 + M_eps(x, epsilon, allow_probable)
 
 
 # --- primes in arithmetic progression ---------------------------------------
@@ -474,26 +416,30 @@ def psi(x, q, a):
 
 def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     """All census statistics for (x, epsilon) in one report."""
-    params = CensusParams.create(x, epsilon)
-    params.require_window()
-    prime, probable = _prime_table(x, params.epsilon, allow_probable)
+    epsilon = Fraction(epsilon)
+    if x < 1:
+        raise DomainError("x must be positive")
+    L = arith.max_m_leq(epsilon, x) - 1
+    if L < 1:
+        raise WindowError(f"empty window: L = {L} for x = {x}, epsilon = {epsilon}")
+    prime, probable = _prime_table(x, epsilon, allow_probable)
     terms = []
-    for l, row in enumerate(prime[: params.L], 1):
+    for l, row in enumerate(prime[:L], 1):
         keep = _progression_primes(l, x, allow_probable)
         wrong = np.flatnonzero(row != keep)
         if wrong.size:
             raise ArithmeticError(
                 f"sigma identity violated at l = {l}: k = {2 * wrong[0] + 1}")
         terms.append((l, int(np.count_nonzero(keep))))
-    S = prime[: params.L].sum(axis=0)
+    S = prime[:L].sum(axis=0)
     s_sum = int(S.sum())
     s_sq = int((S * S).sum())
-    flags_m, cert_m = _m_window(prime, probable, params.epsilon, x)
-    n_count, cert_n = _n_window(prime, probable, params.epsilon, x)
+    flags_m, cert_m = _m_window(prime, probable, epsilon, x)
+    n_count, cert_n = _n_window(prime, probable, epsilon, x)
     m_count = int(flags_m.sum())
     cs = Fraction(s_sum * s_sum, s_sq) if s_sq else Fraction(0)
     return CensusReport(
-        params=params,
+        params=CensusParams(x, epsilon, L),
         sigma=s_sum,
         pi_terms=tuple(terms),
         sum_S_squared=s_sq,
@@ -502,7 +448,7 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
         M_prime=_closure_count(flags_m, x),
         H_lower=1 + m_count,
         cs_lower_bound=cs,
-        upper_curve=2 * x * math.log2(1 + float(params.epsilon)),
-        certified=not probable[: params.L].any() and cert_m and cert_n,
+        upper_curve=2 * x * math.log2(1 + float(epsilon)),
+        certified=not probable[:L].any() and cert_m and cert_n,
         degenerate_flags=() if s_sq else ("cs_lower_bound_zero_denominator",),
     )

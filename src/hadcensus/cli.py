@@ -6,7 +6,10 @@ be read or written, a malformed .pm file, an argument out of range, an
 input past a size cap, an empty census window), 2 prime search exhausted,
 3 verification failure, 4 covering gap.  FAILURES is the one table of
 them: main alone catches them and prints one stderr line each, such as
-"I/O error: <OSError text>" for any file.
+"I/O error: <OSError text>" for any file.  An argument argparse cannot
+parse, or a missing or unknown one, never reaches FAILURES: argparse
+prints its usage and an error line and exits 2, the code of an exhausted
+prime search.
 """
 
 from __future__ import annotations

@@ -50,21 +50,6 @@ class ConstructionPlan:
             d["right"] = self.right.to_json_dict()
         return d
 
-    @classmethod
-    def from_json_dict(cls, d):
-        kind = d["kind"]
-        if kind == SYLVESTER:
-            return sylvester_leaf(d["t"])
-        if kind == PALEY_I:
-            return paley_i_leaf(d["q"])
-        if kind == PALEY_II:
-            return paley_ii_leaf(d["q"])
-        if kind == KRONECKER:
-            return kronecker_node(
-                cls.from_json_dict(d["left"]), cls.from_json_dict(d["right"])
-            )
-        raise ValueError(f"unknown plan node kind {kind!r}")
-
 
 def _check_paley_prime(q, kind):
     r = arith.is_prime(q)

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from hadcensus import census, construct, solver
-from hadcensus.census import CensusParams
-from hadcensus.errors import NoPrimeInRange
+from hadcensus.errors import NoPrimeInRange, WindowError
 from hadcensus.matrix import is_hadamard
 
 
@@ -79,11 +78,10 @@ def test_03_sigma_identity(verdict):
     ok = True
     for x in (100, 1000, 10_000, 100_000):
         for eps in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            params = CensusParams.create(x, eps)
-            total, terms = census.sigma(params)
-            ok = ok and total == sum(c for _, c in terms)
-    hand_total, hand_terms = census.sigma(CensusParams.create(4, 2))
-    ok = ok and hand_total == 5 and [c for _, c in hand_terms] == [1, 2, 2]
+            report = census.density_report(x, eps)
+            ok = ok and report.sigma == sum(c for _, c in report.pi_terms)
+    hand = census.density_report(4, 2)
+    ok = ok and hand.sigma == 5 and [c for _, c in hand.pi_terms] == [1, 2, 2]
     verdict(3, "sigma / progression-count identity", ok)
 
 
@@ -104,17 +102,16 @@ def test_05_cauchy_schwarz_bound(verdict):
     ok = True
     for x in (4, 100, 1000, 10_000):
         for eps in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            params = CensusParams.create(x, eps)
-            if params.L < 1:
+            try:
+                report = census.density_report(x, eps)
+            except WindowError:  # (4, 1/2): L = 0
                 continue
-            ssq = census.sum_S_squared(params)
+            ssq = report.sum_S_squared
             if ssq == 0:
                 continue
-            sig, _ = census.sigma(params)
-            n_eps = census.N_eps(x, eps)
-            ok = ok and n_eps * ssq >= sig * sig
-    hand = CensusParams.create(4, 2)
-    ok = ok and census.N_eps(4, 2) == 2 and census.sum_S_squared(hand) == 13
+            ok = ok and report.N * ssq >= report.sigma * report.sigma
+    hand = census.density_report(4, 2)
+    ok = ok and hand.N == 2 and hand.sum_S_squared == 13
     ok = ok and 2 * 13 >= 5 * 5
     verdict(5, "Cauchy-Schwarz lower bound", ok)
 
@@ -182,34 +179,38 @@ def test_08_psi_two_path(verdict):
 def test_09_cross_module_consistency(verdict):
     x = 10_000
     ok = True
+    empty = []
     for eps in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        census_flags, _ = census._m_detail(x, eps)
+        census_flags, _ = census._m_window(*census._prime_table(x, eps), eps, x)
         solver_flags = [
             solver.find_m(k, eps).found_m is not None
             for k in range(1, x + 1, 2)
         ]
-        ok = ok and census_flags == solver_flags
-        ok = ok and census.M_eps(x, eps) == sum(solver_flags)
+        ok = ok and census_flags.tolist() == solver_flags
         for probe in (10, 100, 1000, x):
-            ok = ok and (census.certified_H_lower(probe, eps)
-                         >= census.M_eps(probe, eps))
+            try:
+                report = census.density_report(probe, eps)
+            except WindowError:
+                empty.append((probe, eps))
+                continue
+            ok = ok and report.H_lower >= report.M
+            if probe == x:
+                ok = ok and report.M == sum(solver_flags)
+    # L = floor(log2(10)/2) - 1 = 0: the one probe with no sigma window
+    ok = ok and empty == [(10, Fraction(1, 2))]
     verdict(9, "census/solver window agreement", ok)
 
 
 def test_10_window_inclusion(verdict):
-    m_cache = {}
-    n_cache = {}
     ok = True
     for x in (1000, 10_000, 100_000):
+        # N at epsilon in {1/2, 1}, M at A*epsilon in {1, 2, 4}
+        reports = {eps: census.density_report(x, eps)
+                   for eps in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4))}
         for A in (2, 4):
             for eps in (Fraction(1, 2), Fraction(1)):
-                wide = A * eps
-                if (x, wide) not in m_cache:
-                    m_cache[x, wide] = census.M_eps(x, wide)
-                if (x, eps) not in n_cache:
-                    n_cache[x, eps] = census.N_eps(x, eps)
-                bound = n_cache[x, eps] - _ceil_half_root(x, A)
-                ok = ok and m_cache[x, wide] >= bound
+                bound = reports[eps].N - _ceil_half_root(x, A)
+                ok = ok and reports[A * eps].M >= bound
     verdict(10, "window-inclusion inequality", ok)
 
 
@@ -217,9 +218,8 @@ def test_11_density_snapshot_regression(verdict):
     # Golden values computed once by the brute-force oracle
     # (trial-division primality, exact integer window bounds) and frozen.
     x = 10_000
-    n1 = census.N_eps(x, 1)
-    m1 = census.M_eps(x, 1)
-    mp1 = census.property_p_census(x, 1)
+    report = census.density_report(x, 1)
+    n1, m1, mp1 = report.N, report.M, report.M_prime
     ok = (n1, m1, mp1) == (4350, 4262, 4620)
     verdict(11, "density snapshot regression", ok,
             f"N={n1} M={m1} M'={mp1}")

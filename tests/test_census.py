@@ -11,22 +11,15 @@ from hypothesis import strategies as st
 
 from hadcensus import arith, census
 from hadcensus.census import (
-    CensusParams,
     I_closed,
     I_quadrature,
-    M_eps,
-    N_eps,
     S_count,
-    certified_H_lower,
     density_report,
     pi_count,
     pi_prefix,
-    property_p_census,
     psi,
     psi_paths,
     riemann_tail_sum,
-    sigma,
-    sum_S_squared,
 )
 from hadcensus.errors import DomainError, WindowError
 
@@ -50,6 +43,11 @@ def brute_mangoldt(k):
     while k % p == 0:
         k //= p
     return math.log(p) if k == 1 else 0.0
+
+
+def m_window(x, eps, allow_probable=True):
+    """(M's flag per odd k <= x, M's certified flag) from one census table."""
+    return census._m_window(*census._prime_table(x, eps, allow_probable), eps, x)
 
 
 NAIVE_LIMIT = 600
@@ -78,31 +76,32 @@ class TestSCount:
 
 class TestSigma:
     def test_hand_case(self):
-        params = CensusParams.create(4, 2)
-        assert params.L == 3
-        total, terms = sigma(params)
-        assert total == 5
-        assert terms == ((1, 1), (2, 2), (3, 2))
+        report = density_report(4, 2)
+        assert report.params.L == 3
+        assert report.sigma == 5
+        assert report.pi_terms == ((1, 1), (2, 2), (3, 2))
 
     def test_degenerate(self):
-        params = CensusParams.create(2, 2)
-        assert params.L == 1
-        assert sigma(params)[0] == 0
+        report = density_report(2, 2)
+        assert report.params.L == 1
+        assert report.sigma == 0
 
     def test_window_error(self):
-        params = CensusParams.create(2, Fraction(1, 2))
-        with pytest.raises(WindowError):
-            sigma(params)
+        with pytest.raises(WindowError,
+                           match="^empty window: L = -1 for x = 2, epsilon = 1/2$"):
+            density_report(2, Fraction(1, 2))
+        with pytest.raises(DomainError, match="^x must be positive$"):
+            density_report(0, 1)
 
     def test_identity_against_oracle(self):
         # brute force over all (k, l) pairs, trial division only
-        params = CensusParams.create(100, 1)
+        report = density_report(100, 1)
         expected = sum(
-            sum(1 for l in range(1, params.L + 1)
+            sum(1 for l in range(1, report.params.L + 1)
                 if trial_division_prime((k << l) - 1))
             for k in range(1, 101, 2)
         )
-        assert sigma(params)[0] == expected
+        assert report.sigma == expected
 
     def test_progression_route_against_sieve(self, monkeypatch):
         # the second route serves every row of a census; small x and l reach
@@ -119,68 +118,68 @@ class TestSigma:
 
 class TestSumSSquared:
     def test_examples(self):
-        assert sum_S_squared(CensusParams.create(4, 2)) == 13
-        assert sum_S_squared(CensusParams.create(2, 2)) == 0
-        assert sum_S_squared(CensusParams.create(4, 1)) == 1
+        assert density_report(4, 2).sum_S_squared == 13
+        assert density_report(2, 2).sum_S_squared == 0
+        assert density_report(4, 1).sum_S_squared == 1
 
 
 class TestCensusCounts:
+    # x = 1, x < 4 at epsilon = 1 and (10, 1/2) leave the sigma window
+    # empty: TestSigma.test_window_error covers them
     def test_N_examples(self):
-        assert N_eps(4, 1) == 1
-        assert N_eps(4, 2) == 2
-        assert N_eps(2, Fraction(1, 2)) == 0
+        assert density_report(4, 1).N == 1
+        assert density_report(4, 2).N == 2
 
     def test_M_examples(self):
-        assert M_eps(4, 1) == 1
-        assert M_eps(1, 5) == 0
-        assert M_eps(10, 1) == 4  # k = 3, 5, 7, 9
+        assert density_report(4, 1).M == 1
+        assert density_report(10, 1).M == 4  # k = 3, 5, 7, 9
 
     def test_M_prime_examples(self):
-        assert property_p_census(9, 1) == 4
-        assert property_p_census(1, 3) == 0
+        assert density_report(9, 1).M_prime == 4
 
     def test_M_prime_closure(self):
         # 15 = 3 * 5 qualifies through its factors at epsilon = 1
-        flags, _ = census._m_detail(15, Fraction(1))
-        assert property_p_census(15, 1) >= M_eps(15, 1)
+        flags, _ = m_window(15, Fraction(1))
+        report = density_report(15, 1)
+        assert report.M_prime >= report.M
         base_3 = flags[(3 - 1) // 2]
         base_5 = flags[(5 - 1) // 2]
         assert base_3 and base_5
         # difference includes 15 exactly when 15 is not a base qualifier
-        assert property_p_census(15, 1) == M_eps(15, 1) + (
-            0 if flags[(15 - 1) // 2] else 1
-        )
+        assert report.M_prime == report.M + (0 if flags[(15 - 1) // 2] else 1)
 
     def test_H_lower_examples(self):
-        assert certified_H_lower(4, 1) == 2
-        assert certified_H_lower(1, 3) == 1
-        assert certified_H_lower(10, 1) == 5
+        assert density_report(4, 1).H_lower == 2
+        assert density_report(10, 1).H_lower == 5
 
     def test_monotone_in_x_and_epsilon(self):
-        for f in (N_eps, M_eps):
-            values = [f(x, 1) for x in range(1, 120)]
+        by_x = [density_report(x, 1) for x in range(4, 120)]
+        by_eps = [density_report(100, e) for e in (Fraction(1, 2), 1, 2, 3)]
+        for field in ("N", "M"):
+            values = [getattr(r, field) for r in by_x]
             assert values == sorted(values)
-            by_eps = [f(100, e) for e in (Fraction(1, 2), 1, 2, 3)]
-            assert by_eps == sorted(by_eps)
+            values = [getattr(r, field) for r in by_eps]
+            assert values == sorted(values)
 
     def test_H_lower_dominates_M(self):
-        for x in (1, 10, 100, 500):
+        for x in (10, 100, 500):
             for eps in (Fraction(1, 2), 1, 2):
-                assert certified_H_lower(x, eps) >= M_eps(x, eps)
+                if (x, eps) != (10, Fraction(1, 2)):
+                    report = density_report(x, eps)
+                    assert report.H_lower >= report.M
 
 
 class TestCauchySchwarz:
     @pytest.mark.parametrize("x,eps", [(4, 2), (50, 1), (200, 2), (500, 1)])
     def test_bound(self, x, eps):
-        params = CensusParams.create(x, eps)
-        s, _ = sigma(params)
-        ssq = sum_S_squared(params)
+        report = density_report(x, eps)
+        s, ssq = report.sigma, report.sum_S_squared
         if ssq == 0:
             return
-        assert N_eps(x, eps) >= Fraction(s * s, ssq)
+        assert report.N >= Fraction(s * s, ssq)
 
     def test_hand_case(self):
-        assert N_eps(4, 2) == 2 >= Fraction(25, 13)
+        assert density_report(4, 2).N == 2 >= Fraction(25, 13)
 
 
 class TestPiCount:
@@ -414,8 +413,8 @@ class TestWindowInclusion:
     def test_small_scale(self, A):
         for eps in (Fraction(1, 2), Fraction(1)):
             for x in (100, 1000):
-                lhs = M_eps(x, A * eps)
-                rhs = N_eps(x, eps) - math.ceil(x ** (1 / A) / 2)
+                lhs = density_report(x, A * eps).M
+                rhs = density_report(x, eps).N - math.ceil(x ** (1 / A) / 2)
                 assert lhs >= rhs
 
 
@@ -503,11 +502,11 @@ class TestCensusTable:
         # probable primes clear the certified flags
         assert not density_report(2100, 5).certified
         assert density_report(2100, 5, allow_probable=False).certified
-        assert not census._m_detail(800, 6)[1]
-        assert census._m_detail(800, 6, allow_probable=False)[1]
+        assert not m_window(800, 6)[1]
+        assert m_window(800, 6, allow_probable=False)[1]
         report = density_report(837, Fraction(17, 3))
         assert (report.N, report.certified) == (410, False)
-        assert census._m_detail(837, Fraction(17, 3))[1]
+        assert m_window(837, Fraction(17, 3))[1]
         report = density_report(837, Fraction(17, 3), allow_probable=False)
         assert (report.N, report.certified) == (409, True)
 
@@ -516,19 +515,11 @@ class TestCensusTable:
     def test_report_matches_brute_force(self, x, eps, allow_probable):
         report = density_report(x, eps, allow_probable)
         expected = _brute_census(x, Fraction(eps), allow_probable)
-        assert census._m_detail(x, eps, allow_probable) == expected.pop("m_detail")
+        flags, certified = m_window(x, eps, allow_probable)
+        assert (flags.tolist(), certified) == expected.pop("m_detail")
         assert report.params.L == expected.pop("L")
         for field, value in expected.items():
             assert getattr(report, field) == value, field
-        # each public reduction builds its own table
-        assert N_eps(x, eps, allow_probable) == report.N
-        assert M_eps(x, eps, allow_probable) == report.M
-        assert property_p_census(x, eps, allow_probable) == report.M_prime
-        assert certified_H_lower(x, eps, allow_probable) == report.H_lower
-        params = CensusParams.create(x, eps)
-        if params.L >= 1:
-            assert sigma(params, allow_probable) == (report.sigma, report.pi_terms)
-            assert sum_S_squared(params, allow_probable) == report.sum_S_squared
 
     def test_composites_past_the_sieve_bound_are_rejected(self):
         # 2^m*k - 1 = p*q with both factors above TABLE_SIEVE_BOUND: the
@@ -632,4 +623,4 @@ class TestCensusTable:
         with pytest.raises(DomainError, match="over the budget"):
             density_report(10**9, 1)
         with pytest.raises(DomainError, match="over the budget"):
-            N_eps(10**9, 1)
+            census._prime_table(10**9, 1)

@@ -238,13 +238,16 @@ class TestErrorExits:
          "domain error: census table for x = 1000000000 needs 29000000000 "
          "bytes, over the budget of 268435456"),
         (["search", "--k", "5", "--epsilon", "1e300"],
-         "domain error: epsilon too large: k^numerator over 16777216 bits"),
+         "domain error: epsilon too large: k^numerator over 262144 bits"),
         (["census", "--x", "5", "--epsilon", "1000000000001/1000000000000"],
-         "domain error: epsilon too large: k^numerator over 16777216 bits"),
+         "domain error: epsilon too large: k^numerator over 262144 bits"),
         # the certificate would cover no family, or spot-check nothing
         (["riesel", "--k0", "-509203"], "domain error: k0 must be positive"),
         (["riesel", "--r-max", "-5"], "domain error: spot-check grid is empty"),
         (["riesel", "--m-max", "-1"], "domain error: spot-check grid is empty"),
+        # 1198001 * 14 bits: about 200 powers of 16.8 M bits each
+        (["census", "--x", "10000", "--epsilon", "1198001/1000000"],
+         "domain error: epsilon too large: k^numerator over 262144 bits"),
     ])
     def test_bad_argument_exits_with_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)

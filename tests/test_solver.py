@@ -55,7 +55,7 @@ class TestFindM:
             direct = sum(
                 1 for k in range(1, x + 1, 2) if find_m(k, eps).found_m is not None
             )
-            assert direct == census.M_eps(x, eps)
+            assert direct == census.density_report(x, eps).M
 
 
 class TestOrderExponent:
