@@ -29,7 +29,6 @@ from .construct import (
 from .matrix import (
     PlusMinusMatrix,
     is_hadamard,
-    kronecker,
     read_matrix,
     write_matrix,
 )

@@ -22,13 +22,14 @@ from . import census, construct, solver
 from .errors import (CoverageGap, DomainError, NoPrimeInRange, PmParseError,
                      WindowError)
 from .jsonio import canonical_json
-from .matrix import MAX_ORDER_DEFAULT, is_hadamard, read_matrix, write_matrix
+from .matrix import is_hadamard, read_matrix, write_matrix
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_NO_PRIME = 2
 EXIT_NOT_HADAMARD = 3
 EXIT_COVERAGE_GAP = 4
+EPSILON_DIGITS_MAX = 4300  # str() of an int with more digits raises ValueError
 
 # (exception type, exit code, stderr line).  main prints the line of the
 # first entry whose type matches, so a subclass must stand above its base.
@@ -45,6 +46,16 @@ FAILURES = (
 
 def _fraction(text):
     try:
+        # An a/b literal with a side past EPSILON_DIGITS_MAX digits fails in
+        # int().  A decimal one, worth digits * 10**shift, is refused from its
+        # text, before Fraction computes 10**exponent.
+        if "/" not in text:
+            mantissa, _, exponent = text.lower().replace("_", "").partition("e")
+            whole, _, decimals = mantissa.strip().lstrip("+-").partition(".")
+            shift = int(exponent or 0) - len(decimals)
+            numerator = len((whole + decimals).lstrip("0")) + max(shift, 0)
+            if max(numerator, 1 - shift) > EPSILON_DIGITS_MAX:  # 10**-shift: 1 - shift digits
+                raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
@@ -94,11 +105,13 @@ def cmd_search(args):
 
 
 def cmd_census(args):
+    if args.format == "csv" and not args.out:
+        raise DomainError("--format csv needs --out for the .csv file")
     report = census.density_report(
         args.x, args.epsilon, allow_probable=not args.strict_primality
     )
     _emit(args, report.to_json_dict())
-    if args.out and args.format == "csv":
+    if args.format == "csv":
         _write_text(args.out + ".csv", report.to_csv())
     return EXIT_OK
 
@@ -139,7 +152,7 @@ def build_parser():
     p = sub.add_parser("build", help="construct a Hadamard matrix for odd k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=_fraction, required=True)
-    p.add_argument("--max-order", type=int, default=MAX_ORDER_DEFAULT)
+    p.add_argument("--max-order", type=int, default=construct.MAX_ORDER_DEFAULT)
     add_common(p)
     p.set_defaults(func=cmd_build)
 

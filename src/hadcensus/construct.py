@@ -1,10 +1,9 @@
-"""Hadamard matrix builders: Sylvester, Paley I, Paley II, recipe trees,
-and the (k, epsilon) -> certified order-2^l*k pipeline."""
+"""Hadamard matrix builders: Sylvester, Paley I, Paley II, and the
+(k, epsilon) -> certified order-2^l*k pipeline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,42 +17,31 @@ from .errors import (
     SizeError,
     UnsupportedFieldError,
 )
-from .matrix import MAX_ORDER_DEFAULT, PlusMinusMatrix, extend_by_rotation, kronecker
+from .matrix import PlusMinusMatrix, extend_by_rotation
+
+MAX_ORDER_DEFAULT = 1 << 16  # largest order any builder materializes
 
 SYLVESTER = "sylvester"
 PALEY_I = "paley_i"
 PALEY_II = "paley_ii"
-KRONECKER = "kronecker"
 
 
 @dataclass(frozen=True)
 class ConstructionPlan:
-    """Recipe tree certifying how an order-n Hadamard matrix is built."""
+    """Which one Sylvester or Paley matrix gives an order-n Hadamard matrix."""
 
     kind: str
     claimed_order: int
     certified: bool
-    t: Optional[int] = None  # sylvester leaf
-    q: Optional[int] = None  # paley leaves
-    left: Optional["ConstructionPlan"] = None  # kronecker node
-    right: Optional["ConstructionPlan"] = None
+    t: Optional[int] = None  # sylvester
+    q: Optional[int] = None  # paley_i, paley_ii
 
     def to_json_dict(self):
-        d = {"kind": self.kind, "claimed_order": self.claimed_order,
-             "certified": self.certified}
-        if self.kind == SYLVESTER:
-            d["t"] = self.t
-        elif self.kind in (PALEY_I, PALEY_II):
-            d["q"] = self.q
-        else:
-            d["left"] = self.left.to_json_dict()
-            d["right"] = self.right.to_json_dict()
-        return d
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def _check_paley_prime(q, kind):
-    r = arith.is_prime(q)
-    if not r:
+    if not arith.is_prime(q):
         factors = arith.factorize(q) if q > 1 else {}
         if len(factors) == 1:
             raise UnsupportedFieldError(
@@ -64,33 +52,6 @@ def _check_paley_prime(q, kind):
     want = 3 if kind == PALEY_I else 1
     if q % 4 != want:
         raise ResidueClassError(f"{kind} requires q = {want} mod 4, got q = {q}")
-    return r
-
-
-def sylvester_leaf(t):
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    return ConstructionPlan(SYLVESTER, 1 << t, True, t=t)
-
-
-def paley_i_leaf(q):
-    r = _check_paley_prime(q, PALEY_I)
-    return ConstructionPlan(PALEY_I, q + 1, r.is_certified, q=q)
-
-
-def paley_ii_leaf(q):
-    r = _check_paley_prime(q, PALEY_II)
-    return ConstructionPlan(PALEY_II, 2 * (q + 1), r.is_certified, q=q)
-
-
-def kronecker_node(left, right):
-    return ConstructionPlan(
-        KRONECKER,
-        left.claimed_order * right.claimed_order,
-        left.certified and right.certified,
-        left=left,
-        right=right,
-    )
 
 
 def sylvester(t):
@@ -146,40 +107,32 @@ def paley_II(q):
 
 
 def build_plan(plan: ConstructionPlan) -> PlusMinusMatrix:
-    """Materialize a recipe tree bottom-up, refusing an order over
-    MAX_ORDER_DEFAULT before any node is built."""
-    if plan.claimed_order > MAX_ORDER_DEFAULT:
-        raise SizeError(f"order {plan.claimed_order} exceeds max_order {MAX_ORDER_DEFAULT}")
+    """Materialize a plan; each builder checks its own prime, residue and size."""
     if plan.kind == SYLVESTER:
         return sylvester(plan.t)
     if plan.kind == PALEY_I:
         return paley_I(plan.q)
     if plan.kind == PALEY_II:
         return paley_II(plan.q)
-    if plan.kind == KRONECKER:
-        return kronecker(build_plan(plan.left), build_plan(plan.right))
-    raise ValueError(f"unknown plan node kind {plan.kind!r}")
+    raise ValueError(f"unknown plan kind {plan.kind!r}")
 
 
 def plan_for(k, epsilon, allow_probable=True) -> ConstructionPlan:
     """Plan a Hadamard matrix of order 2^l*k with l <= 2 + epsilon*log2(k).
 
     k = 1 maps to the order-4 Sylvester matrix; otherwise the smallest
-    exponent m with 2^m*k - 1 prime inside the window selects a Paley leaf
-    (Paley II doubling when m = 1, Paley I otherwise).
+    exponent m with q = 2^m*k - 1 prime inside the window selects Paley II
+    of order 2(q + 1) when m = 1 and Paley I of order q + 1 otherwise.
     """
-    epsilon = Fraction(epsilon)
-    if k < 1 or k % 2 == 0:
-        raise DomainError("k must be odd and positive")
     if k == 1:
-        return sylvester_leaf(2)
+        return ConstructionPlan(SYLVESTER, 4, True, t=2)
     result = solver.find_m(k, epsilon, allow_probable=allow_probable)
-    m = result.found_m
+    m, q = result.found_m, result.prime_value
     if m is None:
-        raise NoPrimeInRange(k, epsilon, 1, result.m_bound)
+        raise NoPrimeInRange(k, result.epsilon, 1, result.m_bound)
     if m == 1:
-        return paley_ii_leaf(2 * k - 1)  # order 2(2k) = 2^2 * k
-    return paley_i_leaf((1 << m) * k - 1)  # order 2^m * k
+        return ConstructionPlan(PALEY_II, 2 * (q + 1), result.certified, q=q)  # order 2^2 * k
+    return ConstructionPlan(PALEY_I, q + 1, result.certified, q=q)  # order 2^m * k
 
 
 def hadamard_for(k, epsilon, max_order=MAX_ORDER_DEFAULT, allow_probable=True):

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PmParseError, SizeError
+from .errors import PmParseError
 
-MAX_ORDER_DEFAULT = 1 << 16
 GRAM_BLOCK_ENTRIES = 1 << 24  # float32 entries per Gram block: 64 MB
 
 _TO_PM = bytes.maketrans(b"01", b"+-")
@@ -152,26 +151,6 @@ def _gram_verdict(M: PlusMinusMatrix) -> bool:
             if gram.any():
                 return False
     return True
-
-
-def kronecker(A: PlusMinusMatrix, B: PlusMinusMatrix):
-    """Kronecker product A (x) B, of order at most MAX_ORDER_DEFAULT."""
-    n = A.n * B.n
-    if n > MAX_ORDER_DEFAULT:
-        raise SizeError(f"order {n} exceeds max_order {MAX_ORDER_DEFAULT}")
-    nb = B.n
-    mask_b = (1 << nb) - 1
-    rows = []
-    for i in range(A.n):
-        arow = A.rows[i]
-        for k in range(B.n):
-            brow = B.rows[k]
-            brow_neg = ~brow & mask_b
-            row = 0
-            for j in reversed(range(A.n)):
-                row = (row << nb) | (brow_neg if (arow >> j) & 1 else brow)
-            rows.append(row)
-    return PlusMinusMatrix(n, rows)
 
 
 def write_matrix(M: PlusMinusMatrix, path):

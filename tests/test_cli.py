@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,18 @@ class TestBuildVerify:
         assert code == EXIT_NO_PRIME
         assert "no prime in window" in err
         assert err == "no prime in window m = 1..9 for k = 509203\n"
+
+    def test_build_probable_prime(self, capsys):
+        # 763 * 2^55 - 1, past 2^64, is only a probable prime; the order is
+        # past --max-order, so no matrix is built
+        code, out, err = run(["build", "--k", "763", "--epsilon", "6",
+                              "--max-order", "16"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "order 27489972125469507584 = 2^55 * 763 (certified=False)\n"
+        code, out, err = run(["build", "--k", "763", "--epsilon", "6",
+                              "--strict-primality"], capsys)
+        assert (code, out) == (EXIT_NO_PRIME, "")
+        assert err == "no prime in window m = 1..57 for k = 763\n"
 
     def test_build_max_order_cap(self, monkeypatch, capsys):
         def no_build(*args, **kwargs):
@@ -215,10 +228,20 @@ class TestScalarCommands:
         assert out == printed
 
     def test_bad_fraction_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["census", "--x", "4", "--epsilon", "abc"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        # 1e-5000 has a denominator of 5001 digits, which str() refuses past
+        # 4300; 1e-1000000000 would take minutes to parse
+        for argv in (["census", "--x", "4", "--epsilon", "abc"],
+                     ["census", "--x", "100", "--epsilon", "1e-5000"],
+                     ["search", "--k", "3", "--epsilon", "1e-5000"],
+                     ["build", "--k", "3", "--epsilon", "1e-5000"],
+                     ["census", "--x", "100", "--epsilon", "1e-1000000000"]):
+            start = time.perf_counter()
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert time.perf_counter() - start < 1
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"not a rational number: {argv[-1]!r}\n"), err
 
 
 class TestErrorExits:
@@ -248,6 +271,8 @@ class TestErrorExits:
         # 1198001 * 14 bits: about 200 powers of 16.8 M bits each
         (["census", "--x", "10000", "--epsilon", "1198001/1000000"],
          "domain error: epsilon too large: k^numerator over 262144 bits"),
+        (["census", "--x", "100", "--epsilon", "1", "--format", "csv"],
+         "domain error: --format csv needs --out for the .csv file"),
     ])
     def test_bad_argument_exits_with_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)

@@ -5,16 +5,14 @@ import pytest
 
 from hadcensus import arith, construct, solver
 from hadcensus.construct import (
+    MAX_ORDER_DEFAULT,
+    ConstructionPlan,
     build_plan,
     hadamard_for,
-    kronecker_node,
     paley_I,
     paley_II,
-    paley_i_leaf,
-    paley_ii_leaf,
     plan_for,
     sylvester,
-    sylvester_leaf,
 )
 from hadcensus.errors import (
     NoPrimeInRange,
@@ -23,7 +21,7 @@ from hadcensus.errors import (
     SizeError,
     UnsupportedFieldError,
 )
-from hadcensus.matrix import MAX_ORDER_DEFAULT, PlusMinusMatrix, is_hadamard
+from hadcensus.matrix import PlusMinusMatrix, is_hadamard
 
 
 def test_sylvester_small():
@@ -105,47 +103,51 @@ def test_paley_II_rejections():
 
 
 def test_build_plan_examples():
-    assert build_plan(sylvester_leaf(2)).n == 4
-    plan = kronecker_node(sylvester_leaf(1), paley_i_leaf(3))
-    M = build_plan(plan)
-    assert M.n == 8 and plan.claimed_order == 8
-    assert is_hadamard(M)
+    for k in (1, 3, 5):  # sylvester, paley_ii, paley_i
+        plan = plan_for(k, 1)
+        M = build_plan(plan)
+        assert M.n == plan.claimed_order
+        assert is_hadamard(M)
 
 
 def test_build_plan_refuses_before_building(monkeypatch):
     def built(*args):
-        raise AssertionError("a child was built under an oversized node")
+        raise AssertionError("a matrix was built past the order cap")
 
-    # both children fit the cap; their product, 2^17, does not
-    plan = kronecker_node(sylvester_leaf(9), sylvester_leaf(8))
-    monkeypatch.setattr(construct, "sylvester", built)
-    with pytest.raises(SizeError, match=f"order 131072 exceeds max_order {MAX_ORDER_DEFAULT}"):
-        build_plan(plan)
+    monkeypatch.setattr(construct, "PlusMinusMatrix", built)
+    monkeypatch.setattr(construct, "_quadratic_character_row", built)
+    for plan in (ConstructionPlan(construct.SYLVESTER, 1 << 17, True, t=17),
+                 ConstructionPlan(construct.PALEY_I, 65540, True, q=65539),
+                 ConstructionPlan(construct.PALEY_II, 65580, True, q=32789)):
+        with pytest.raises(SizeError, match=f"exceeds max_order {MAX_ORDER_DEFAULT}"):
+            build_plan(plan)
 
 
 def test_build_plan_leaf_failure_propagates():
     with pytest.raises(ResidueClassError):
-        kronecker_node(paley_i_leaf(5), sylvester_leaf(1))
-
-
-def test_plan_order_bookkeeping():
-    plans = [
-        sylvester_leaf(4),
-        paley_i_leaf(11),
-        paley_ii_leaf(13),
-        kronecker_node(sylvester_leaf(2), paley_i_leaf(7)),
-    ]
-    for plan in plans:
-        assert build_plan(plan).n == plan.claimed_order
+        build_plan(ConstructionPlan(construct.PALEY_I, 6, True, q=5))
+    with pytest.raises(NotPrimeError):
+        build_plan(ConstructionPlan(construct.PALEY_II, 44, True, q=21))
 
 
 def test_plan_json_format():
-    plan = kronecker_node(sylvester_leaf(3), paley_ii_leaf(5))
-    assert plan.to_json_dict() == {
-        "kind": "kronecker", "claimed_order": 96, "certified": True,
-        "left": {"kind": "sylvester", "claimed_order": 8, "certified": True, "t": 3},
-        "right": {"kind": "paley_ii", "claimed_order": 12, "certified": True, "q": 5},
-    }
+    assert plan_for(1, 1).to_json_dict() == {
+        "kind": "sylvester", "claimed_order": 4, "certified": True, "t": 2}
+    assert plan_for(3, 1).to_json_dict() == {
+        "kind": "paley_ii", "claimed_order": 12, "certified": True, "q": 5}
+    assert plan_for(5, 1).to_json_dict() == {
+        "kind": "paley_i", "claimed_order": 20, "certified": True, "q": 19}
+
+
+def test_probable_prime_plan():
+    # 763 * 2^m - 1 is composite for m = 1..54; m = 55 gives a prime past
+    # 2^64, which only a probable-prime test accepts
+    q = 763 * 2**55 - 1
+    assert plan_for(763, 6).to_json_dict() == {
+        "kind": "paley_i", "claimed_order": q + 1, "certified": False, "q": q}
+    with pytest.raises(NoPrimeInRange) as err:
+        plan_for(763, 6, allow_probable=False)
+    assert (err.value.m_lo, err.value.m_hi) == (1, 57)
 
 
 def test_hadamard_for_examples():
