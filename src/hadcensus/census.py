@@ -15,9 +15,9 @@ shares no sieve, inverse or branch with the table.  Both routes take their
 primality verdicts from arith's cached _verdict, so past 2^40, where the
 table tests too, the check covers the table's sieve and indexing, not
 arith's primality test (ROADMAP open item 1).  The first k whose flags
-differ names the fault.  pi_count sieves odd integers only and
-counts a class as a strided slice; psi's two routes share no table.  Past
-TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
+differ names the fault.  pi_count sieves only the odd members of its
+class; psi's two routes share no table.  Past TABLE_BYTES_MAX, PI_MAX_X or
+PSI_MAX_X, nothing is built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
 With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
@@ -39,9 +39,8 @@ import numpy as np
 from . import arith
 from .errors import DomainError, WindowError
 
-SEGMENT_SIZE = 1 << 20  # integers per pi sieve segment
-# ~5 minutes of sieving at 2.7 s per 10^9 on one 2-vCPU VM core; up to it the
-# base primes and one segment's odd flags take about 1 MB
+SEGMENT_SIZE = 1 << 20  # odd class members per pi sieve segment
+# q = 4 sieves 10^9 in 1.0 s, 10^10 in 21 s on a 2-vCPU VM; ~4 MB at the cap
 PI_MAX_X = 10**11
 PSI_MAX_X = 10**8  # psi's int32 spf and bool prime tables take ~5*x bytes
 PSI_REL_TOL = 1e-9  # psi's two routes agree to this, relative to the larger
@@ -267,10 +266,9 @@ def _prime_flags(limit):
 
 
 def _progression_hits(limit, q, a):
-    """(n, step, hits) for 2, then per SEGMENT_SIZE integers of 2..limit:
-    hits[j] when n + j*step is a prime congruent to a mod q.  A segment
-    sieves its odd integers o + 2i only; the class's odd members, r mod
-    lcm(2, q), are a strided slice of them."""
+    """(n, step, hits) for 2, then per SEGMENT_SIZE odd members r + period*i
+    (period = lcm(2, q)) of a mod q up to limit: hits[j] when n + j*step is
+    prime.  Odd base primes p not dividing q strike from the first member >= p^2."""
     if q < 1:
         raise DomainError("q must be positive")
     if limit > PI_MAX_X:
@@ -278,21 +276,23 @@ def _progression_hits(limit, q, a):
     if limit >= 2 and (2 - a) % q == 0:
         yield 2, 1, np.ones(1, dtype=bool)
     r = a % q + q * (a % q % 2 == 0)
-    if r % 2 == 0:  # q and a even: no odd member
-        return
     period = q * 2 // math.gcd(2, q)
-    base = np.flatnonzero(_prime_flags(math.isqrt(max(limit, 0))))[1:]
-    for lo in range(2, limit + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE - 1, limit)
-        o = lo | 1
-        flags = np.ones((hi - o) // 2 + 1, dtype=bool)
-        p = base[: np.searchsorted(base, math.isqrt(hi), side="right")]
-        # first i with o + 2i = 0 (mod p), or the i of p^2 if that is later
-        starts = np.maximum((p * p - o) // 2, -o * (p + 1) // 2 % p)
-        for start, step in zip(starts.tolist(), p.tolist()):
+    if math.gcd(r, period) > 1 or period > limit:  # r is the one odd candidate
+        if r % 2 and r <= limit and arith.is_prime(r):
+            yield r, period, np.ones(1, dtype=bool)
+        return
+    p = np.flatnonzero(_prime_flags(math.isqrt(limit)))
+    p = p[period % p != 0]  # odd, not dividing q; p | r + period*i iff i = t (mod p)
+    t = np.array([-r * pow(period, -1, d) % d for d in p.tolist()], dtype=np.int64)
+    square = (p * p - r + period - 1) // period  # first i whose member >= p^2
+    first = square + (t - square) % p  # each p's next strike, from the segment's start
+    for n in range(r, limit + 1, period * SEGMENT_SIZE):
+        flags = np.ones(min(SEGMENT_SIZE, (limit - n) // period + 1), dtype=bool)
+        flags[0] = n > 1  # 1 is not prime
+        for start, step in np.column_stack([first, p])[first < flags.size].tolist():
             flags[start::step] = False
-        i0 = (r - o) % period // 2
-        yield o + 2 * i0, period, flags[i0 :: period // 2]
+        first = np.maximum(first - flags.size, (first - flags.size) % p)
+        yield n, period, flags
 
 
 def pi_count(x, q, a):

@@ -124,9 +124,9 @@ def plan_for(k, epsilon, allow_probable=True) -> ConstructionPlan:
     exponent m with q = 2^m*k - 1 prime inside the window selects Paley II
     of order 2(q + 1) when m = 1 and Paley I of order q + 1 otherwise.
     """
-    if k == 1:
-        return ConstructionPlan(SYLVESTER, 4, True, t=2)
     result = solver.find_m(k, epsilon, allow_probable=allow_probable)
+    if k == 1:  # after find_m checked epsilon; its window for k = 1 is empty
+        return ConstructionPlan(SYLVESTER, 4, True, t=2)
     m, q = result.found_m, result.prime_value
     if m is None:
         raise NoPrimeInRange(k, result.epsilon, 1, result.m_bound)

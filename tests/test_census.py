@@ -50,14 +50,16 @@ def m_window(x, eps, allow_probable=True):
     return census._m_window(*census._prime_table(x, eps, allow_probable), eps, x)
 
 
-NAIVE_LIMIT = 600
-# test_matches_naive_count draws x up to 2 + (NAIVE_LIMIT // seg - 1)*seg,
-# which is NAIVE_LIMIT + 1 at seg = 1
-NAIVE_FLAGS = [trial_division_prime(n) for n in range(NAIVE_LIMIT + 2)]
-# classes holding 2, odd q, negative a and a >= q
+NAIVE_LIMIT = 600  # test_matches_naive_count draws x up to it
+NAIVE_FLAGS = [trial_division_prime(n) for n in range(NAIVE_LIMIT + 1)]
+# test_class_shapes_against_naive runs x up to three periods of q = 2^12
+SHAPE_FLAGS = [trial_division_prime(n) for n in range(3 * 4096 + 6)]
+# classes holding 2, odd q, negative a and a >= q, and moduli past NAIVE_LIMIT
 CLASSES = st.sampled_from([(2, 0), (4, 2), (1, 0)]) | st.tuples(
     st.integers(min_value=1, max_value=12),
-    st.integers(min_value=-30, max_value=40))
+    st.integers(min_value=-30, max_value=40)) | st.tuples(
+    st.integers(min_value=1, max_value=700),
+    st.integers(min_value=-700, max_value=1400))
 
 
 class TestSCount:
@@ -211,17 +213,43 @@ class TestPiCount:
     def test_small_segments(self, monkeypatch):
         monkeypatch.setattr(census, "SEGMENT_SIZE", 7)
         assert pi_count(100, 4, 3) == 13
-        # the sieve reads the patched size: 2..100 in 15 segments
-        assert len(list(census._progression_hits(100, 4, 3))) == 15
+        # the sieve reads the patched size: the 25 odd members 3, 7, ..., 99
+        # of 3 mod 4 in ceil(25 / 7) = 4 segments
+        members = len(range(3, 101, 4))
+        segments = list(census._progression_hits(100, 4, 3))
+        assert len(segments) == -(-members // census.SEGMENT_SIZE) == 4
+        assert [hits.size for _, _, hits in segments] == [7, 7, 7, 4]
+
+    @pytest.mark.parametrize("q,a,primes", [
+        # gcd(a, q) > 1: the class holds at most the one prime gcd(a, q)
+        (9, 3, [3]), (10, 5, [5]), (6, 3, [3]), (15, 6, []), (4, 0, []),
+        # q shares the base primes 2..11, and passes x = 100 below
+        (210, 1, None), (210, 11, None), (2310, 13, None), (2310, 2309, None),
+    ] + [(2 << l, (1 << l) - 1, None) for l in range(1, 12)])  # q up to 2^12
+    @pytest.mark.parametrize("segment", [5, 1 << 20])
+    def test_class_shapes_against_naive(self, q, a, primes, segment, monkeypatch):
+        limit = len(SHAPE_FLAGS) - 1
+        naive = np.cumsum([f and (n - a) % q == 0 for n, f in enumerate(SHAPE_FLAGS)])
+        monkeypatch.setattr(census, "SEGMENT_SIZE", segment)
+        prefix = pi_prefix(limit, q, a)
+        assert np.array_equal(prefix, naive)
+        for x in (0, 2, 100, q - 1, q, q + 1, limit):
+            assert pi_count(x, q, a) == naive[x], x
+        if primes is not None:
+            assert np.flatnonzero(np.diff(prefix, prepend=0)).tolist() == primes
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_naive_count(self, data):
         q, a = data.draw(CLASSES, label="q, a")
         seg = data.draw(st.integers(min_value=1, max_value=9), label="segment")
-        # segments run 2 + n*seg .. 1 + (n+1)*seg; draw x at their edges too
-        n = data.draw(st.integers(min_value=0, max_value=NAIVE_LIMIT // seg - 1))
-        x = data.draw(st.sampled_from([1 + n * seg, 2 + n * seg])
+        # segment n starts at the odd member r + n*seg*period of the class
+        # (r = 1 stands in when it has none); draw x at its edges too
+        period = 2 * q // math.gcd(2, q)
+        r = next((m for m in range(1, period, 2) if (m - a) % q == 0), 1)
+        n = data.draw(st.integers(0, max(NAIVE_LIMIT - r, 0) // (seg * period)))
+        edge = min(r + n * seg * period, NAIVE_LIMIT)
+        x = data.draw(st.sampled_from([edge - 1, edge])
                       | st.integers(min_value=-2, max_value=NAIVE_LIMIT), label="x")
         hits = [NAIVE_FLAGS[k] and (k - a) % q == 0 for k in range(max(x + 1, 0))]
         naive = np.cumsum(hits, dtype=np.int64)

@@ -273,6 +273,16 @@ class TestErrorExits:
          "domain error: epsilon too large: k^numerator over 262144 bits"),
         (["census", "--x", "100", "--epsilon", "1", "--format", "csv"],
          "domain error: --format csv needs --out for the .csv file"),
+        # k = 1 is the order-4 Sylvester matrix, but only for an epsilon that
+        # search accepts
+        (["build", "--k", "1", "--epsilon", "-1"], "domain error: epsilon must be positive"),
+        (["build", "--k", "1", "--epsilon", "0"], "domain error: epsilon must be positive"),
+        (["build", "--k", "1", "--epsilon", "1e300"],
+         "domain error: epsilon too large: k^numerator over 262144 bits"),
+        (["search", "--k", "1", "--epsilon", "-1"], "domain error: epsilon must be positive"),
+        (["search", "--k", "1", "--epsilon", "0"], "domain error: epsilon must be positive"),
+        (["search", "--k", "1", "--epsilon", "1e300"],
+         "domain error: epsilon too large: k^numerator over 262144 bits"),
     ])
     def test_bad_argument_exits_with_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
@@ -287,10 +297,11 @@ class TestErrorExits:
         def no_table(limit):
             raise AssertionError("a table was built past the budget")
 
-        # at the x cap the sieve's tables (base flags and one segment of
-        # odd integers) stay far below the budget
-        assert 100 * (math.isqrt(census.PI_MAX_X) + census.SEGMENT_SIZE // 2) \
-            < census.TABLE_BYTES_MAX
+        # at the x cap the sieve holds the base flags, the base primes and
+        # their inverses as int64 (fewer than isqrt(x) of each) and one
+        # segment of SEGMENT_SIZE flags, tenfold of which stays under budget
+        root = math.isqrt(census.PI_MAX_X)
+        assert 10 * (root + 1 + 2 * 8 * root + census.SEGMENT_SIZE) < census.TABLE_BYTES_MAX
         monkeypatch.setattr(census, "_prime_flags", no_table)
         code, out, err = run(["pi", "--x", str(x), "--q", "4", "--a", "3"] + extra,
                              capsys)
