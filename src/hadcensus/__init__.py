@@ -13,7 +13,6 @@ from .census import (
     CensusReport,
     I_closed,
     I_quadrature,
-    S_count,
     density_report,
     pi_count,
     psi,

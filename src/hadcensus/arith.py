@@ -176,12 +176,6 @@ def is_prime(n):
     return _verdict(n)
 
 
-def is_prime_bool(n, allow_probable=True):
-    """Convenience predicate; with allow_probable=False a probable prime
-    does not count as prime."""
-    return is_prime(n).counts(allow_probable)
-
-
 def jacobi(a, n):
     """Jacobi symbol (a|n) for odd n >= 1."""
     if n < 1 or n % 2 == 0:

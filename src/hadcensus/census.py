@@ -2,9 +2,10 @@
 
 S-counts and their first/second moments, the sigma reindexing identity,
 the N/M/M' censuses, primes in arithmetic progression by segmented sieve,
-Chebyshev psi as a von Mangoldt sum, and the logarithmic integral
-with its Riemann-sum sandwich.  Exponent-window edges are decided in exact
-rational arithmetic (see arith.max_m_leq / max_m_lt).
+Chebyshev psi as a von Mangoldt sum, and the logarithmic integral, in
+closed form and by Gauss-Legendre quadrature, with its Riemann-sum
+sandwich.  Exponent-window edges are decided in exact rational arithmetic
+(see arith.max_m_leq / max_m_lt).
 
 A census, density_report, sieves one table of prime flags for 2^m*k - 1
 (_prime_table); S, sum S^2, N, M, M' and the certified flag are reductions
@@ -50,6 +51,7 @@ TABLE_SIEVE_BOUND = 1 << 20
 # The sigma check's second route screens with odd primes up to this.
 SIGMA_SCREEN_BOUND = 1 << 16
 TABLE_BYTES_MAX = 1 << 28  # bytes: _prime_table (2*rows*(x+1)//2)
+GAUSS_POINTS = 20  # Gauss-Legendre nodes per I_quadrature panel
 
 
 @dataclass(frozen=True)
@@ -196,17 +198,7 @@ def _closure_count(flags, x):
             return before
 
 
-# --- S counts and the sigma identity ----------------------------------------
-
-
-def S_count(k, L, allow_probable=True):
-    """Number of l in 1..L with 2^l*k - 1 prime (k odd)."""
-    if k < 1 or k % 2 == 0:
-        raise DomainError("k must be odd and positive")
-    if L < 1:
-        raise DomainError("L must be >= 1")
-    return sum(arith.is_prime_bool((k << l) - 1, allow_probable)
-               for l in range(1, L + 1))
+# --- the sigma identity's second route ----------------------------------------
 
 
 @lru_cache(maxsize=2)
@@ -248,7 +240,7 @@ def _progression_primes(l, x, allow_probable=True):
     keep[np.repeat(j, count) + np.repeat(p, count) * rank] = False
     if root > SIGMA_SCREEN_BOUND:
         for j in np.flatnonzero(keep).tolist():
-            keep[j] = arith.is_prime_bool(((2 * j + 1) << l) - 1, allow_probable)
+            keep[j] = arith.is_prime(((2 * j + 1) << l) - 1).counts(allow_probable)
     return keep
 
 
@@ -325,14 +317,30 @@ def I_closed(M, L, a):
     return math.log((1 + L * a) / (1 + M * a))
 
 
-def I_quadrature(M, L, a):
-    """Numerical twin of I_closed by adaptive quadrature."""
-    from scipy import integrate  # only here: importing scipy costs ~0.65 s
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    from numpy.polynomial import legendre  # only here: a few ms to import
 
+    return legendre.leggauss(GAUSS_POINTS)
+
+
+def I_quadrature(M, L, a):
+    """Numerical twin of I_closed by composite Gauss-Legendre quadrature.
+
+    [M, L] splits into panels [lo, min(L, 2*lo + 1/a)], each as wide as its
+    distance from the pole at -1/a, and every panel takes GAUSS_POINTS
+    nodes.  No log is called, so the value is independent of I_closed's.
+    """
     _check_integral_domain(M, L, a)
-    value, _ = integrate.quad(lambda l: a / (1 + l * a), M, L,
-                              epsabs=1e-13, epsrel=1e-13)
-    return value
+    edges = [M]
+    while edges[-1] < L:
+        edges.append(min(L, 2 * edges[-1] + 1 / a))
+    edges = np.array(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    nodes, weights = _gauss_legendre()
+    half = (hi - lo)[:, None] / 2
+    t = (hi + lo)[:, None] / 2 + half * nodes
+    return float((half * weights * (a / (1 + t * a))).sum())
 
 
 def riemann_tail_sum(M, L, a):

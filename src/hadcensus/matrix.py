@@ -23,6 +23,8 @@ holds exactly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import PmParseError
@@ -32,38 +34,24 @@ GRAM_BLOCK_ENTRIES = 1 << 24  # float32 entries per Gram block: 64 MB
 _TO_PM = bytes.maketrans(b"01", b"+-")
 
 
+@dataclass(frozen=True, slots=True)
 class PlusMinusMatrix:
     """Immutable square matrix over {+1, -1}."""
 
-    __slots__ = ("n", "rows")
+    n: int
+    rows: tuple
 
-    def __init__(self, n, rows):
-        if n < 1:
+    def __post_init__(self):
+        if self.n < 1:
             raise ValueError("order must be positive")
-        rows = tuple(rows)
-        if len(rows) != n:
+        rows = tuple(self.rows)
+        if len(rows) != self.n:
             raise ValueError("row count does not match order")
-        mask = (1 << n) - 1
+        mask = (1 << self.n) - 1
         for r in rows:
             if r < 0 or r > mask:
                 raise ValueError("row bits out of range for order")
-        self.n = n
-        self.rows = rows
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "rows"):
-            raise AttributeError("PlusMinusMatrix is immutable")
-        super().__setattr__(name, value)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PlusMinusMatrix)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
+        object.__setattr__(self, "rows", rows)
 
     def __repr__(self):
         return f"PlusMinusMatrix(order={self.n})"

@@ -3,9 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-# I_quadrature imports scipy on first use; importing it here keeps that
-# import out of the time hypothesis allows each example
-import scipy.integrate  # noqa: F401
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +10,6 @@ from hadcensus import arith, census
 from hadcensus.census import (
     I_closed,
     I_quadrature,
-    S_count,
     density_report,
     pi_count,
     pi_prefix,
@@ -43,6 +39,13 @@ def brute_mangoldt(k):
     while k % p == 0:
         k //= p
     return math.log(p) if k == 1 else 0.0
+
+
+def S_count(k, L, allow_probable=True):
+    """Number of l in 1..L with 2^l*k - 1 counted as prime (k odd), one
+    verdict at a time: the S of _brute_census."""
+    return sum(arith.is_prime((k << l) - 1).counts(allow_probable)
+               for l in range(1, L + 1))
 
 
 def m_window(x, eps, allow_probable=True):
@@ -307,6 +310,25 @@ class TestIntegral:
         assert I_closed(M - 1, L, a) > mid > I_closed(M, L + 1, a)
         assert mid > I_closed(M, L, a)
         assert abs(I_closed(M, L, a) - I_quadrature(M, L, a)) <= 1e-9
+
+    @pytest.mark.parametrize("a", [1e-6, 1e6])
+    @pytest.mark.parametrize("M, L", [(0, 10**4), (100, 100 + 10**4), (0, 0), (37, 37)])
+    def test_quadrature_at_the_extremes(self, M, L, a):
+        # M = 0, L - M = 10^4, M = L and a at both ends of 1e-6..1e6, which
+        # test_sandwich_and_quadrature's draws never reach
+        assert abs(I_closed(M, L, a) - I_quadrature(M, L, a)) <= 1e-9
+
+    def test_quadrature_calls_no_log(self, monkeypatch):
+        # the quadrature stays independent of I_closed's log
+        expected = I_quadrature(3, 500, 0.25)
+        census._gauss_legendre.cache_clear()  # the nodes too, under the patch
+
+        def refused(*args):
+            raise AssertionError("I_quadrature called a log")
+
+        for module, name in ((math, "log"), (math, "log1p"), (np, "log"), (np, "log1p")):
+            monkeypatch.setattr(module, name, refused)
+        assert I_quadrature(3, 500, 0.25) == expected
 
 
 class TestMangoldt:

@@ -349,10 +349,11 @@ class TestErrorExits:
 
 
 def test_import_does_not_load_scipy():
-    # scipy serves only census.I_quadrature, which no command calls
+    # numpy is the one runtime dependency: not even I_quadrature needs scipy
     src = str(Path(hadcensus.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, hadcensus.cli; print('scipy' in sys.modules)"
+    probe = ("import sys, hadcensus; hadcensus.census.I_quadrature(0, 10**4, 1e-6); "
+             "print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
