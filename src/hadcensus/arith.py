@@ -7,6 +7,7 @@ with odd k < 2^s, else a witness set), Baillie/PSW-style and uncertified above.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,7 +50,7 @@ def _sieve_upto(limit):
     for p in range(2, int(limit**0.5) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(i for i in range(limit + 1) if flags[i])
+    return tuple(itertools.compress(range(limit + 1), flags))
 
 
 SMALL_PRIMES = _sieve_upto(1000)

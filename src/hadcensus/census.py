@@ -15,10 +15,11 @@ SIGMA_SCREEN_BOUND, exact below 2^32 and primality-tested past it, which
 shares no sieve, inverse or branch with the table.  Both routes take their
 primality verdicts from arith's cached _verdict, so past 2^40, where the
 table tests too, the check covers the table's sieve and indexing, not
-arith's primality test (ROADMAP open item 1).  The first k whose flags
+arith's primality test (ROADMAP open item 2).  The first k whose flags
 differ names the fault.  pi_count sieves only the odd members of its
-class; psi's two routes share no table.  Past TABLE_BYTES_MAX, PI_MAX_X or
-PSI_MAX_X, nothing is built.
+class, psi's smallest-prime-factor route only the members of its own; psi's
+two routes share no table.  Past TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X,
+nothing is built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
 With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
@@ -43,7 +44,9 @@ from .errors import DomainError, WindowError
 SEGMENT_SIZE = 1 << 20  # odd class members per pi sieve segment
 # q = 4 sieves 10^9 in 1.0 s, 10^10 in 21 s on a 2-vCPU VM; ~4 MB at the cap
 PI_MAX_X = 10**11
-PSI_MAX_X = 10**8  # psi's int32 spf and bool prime tables take ~5*x bytes
+# psi takes ~19 bytes per class member (route 1), ~3 per integer (route 2);
+# at x = 10^7 it peaks at 18.6 bytes per integer for q = 1, 5.1 for q = 4
+PSI_MAX_X = 10**8
 PSI_REL_TOL = 1e-9  # psi's two routes agree to this, relative to the larger
 # Census table rows sieve with odd primes up to this; past its square,
 # their survivors are tested one by one.
@@ -220,10 +223,11 @@ def _progression_primes(l, x, allow_probable=True):
     fault in the sieve or indexing of either shows as a disagreement: its
     primes come from arith's bytearray sieve, not _prime_flags; each row
     raises (p + 1)/2 to the l-th power, with no inverse carried over; every
-    p strides, with no large-prime branch.  Its primality tests are not independent: from 2^32
-    to 2^40 they face the table's sieve, but past 2^40 the table asks the
-    same lru-cached arith._verdict, and most answers are cache hits on the
-    table's own verdicts, so a fault in arith's test shows in neither.
+    p strides, with no large-prime branch.  Its primality tests are not
+    independent: from 2^32 to 2^40 they face the table's sieve, but past
+    2^40 the table asks the same lru-cached arith._verdict, and most answers
+    are cache hits on the table's own verdicts, so a fault in arith's test
+    shows in neither.
     """
     keep = np.ones((x + 1) // 2, dtype=bool)
     keep[:1] = l > 1  # 2*1 - 1 = 1
@@ -356,20 +360,20 @@ def riemann_tail_sum(M, L, a):
 # --- von Mangoldt and Chebyshev psi ------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _spf(limit):
-    """Smallest prime factor for 0..limit (0 for 0 and 1), as int32: each
-    prime p <= isqrt(limit), read off _spf(isqrt(limit)), writes itself
-    over its multiples from p^2 on, largest first, so the smallest wins."""
-    root = math.isqrt(limit)
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    if root >= 2:
-        primes = np.flatnonzero(_spf(root)[2:] == np.arange(2, root + 1)) + 2
-        for p in primes[::-1].tolist():
-            spf[p * p :: p] = p
-    unset = spf == 0
-    unset[:2] = False
-    spf[unset] = np.flatnonzero(unset)
+def _spf(limit, q, start):
+    """Smallest prime factor of each member start + q*i <= limit of its
+    class (start >= 2), as int32: each prime p <= isqrt(limit), largest
+    first so the smallest wins, writes itself over the members it divides,
+    from i = -start/q (mod p) with stride p, or over all of them when p
+    divides q and start.  Members left unset are prime, their own factor."""
+    spf = np.zeros(len(range(start, limit + 1, q)), dtype=np.int32)
+    for p in reversed(arith._sieve_upto(math.isqrt(limit))):
+        if q % p:
+            spf[-start * pow(q, -1, p) % p :: p] = p
+        elif start % p == 0:
+            spf[:] = p
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = start + q * unset
     return spf
 
 
@@ -387,10 +391,9 @@ def psi_paths(x, q, a):
         q, a = x + 1, a if a <= x else 0
     # Route 1: Lambda(k) for each k in the progression via smallest-prime-
     # factor reduction (k is a prime power iff dividing out spf reaches 1).
-    spf = _spf(x)
     start = a if a >= 2 else a + q * ((2 - a + q - 1) // q)
     ks = np.arange(start, x + 1, q, dtype=np.int32)
-    p = spf[ks]
+    p = _spf(x, q, start)
     w = ks // p
     idx = np.flatnonzero(w % p == 0)
     while idx.size:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -384,13 +385,17 @@ class TestPsi:
                     assert enumerated == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_spf_against_trial_division(self):
-        for limit in (0, 1, 2, 3, 4, 8, 9, 25, 5000):
-            spf = census._spf(limit)
-            assert spf.dtype == np.int32
-            expected = [0, 0][: limit + 1] + [
-                next(d for d in range(2, k + 1) if k % d == 0)
-                for k in range(2, limit + 1)]
-            assert spf.tolist() == expected
+        spf = [0, 0] + [next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), k)
+                        for k in range(2, 5001)]
+        limits = (0, 1, 2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 5000)
+        for q in range(1, 13):
+            # every class, by its least member >= 2; in (4, 2), (6, 3) and
+            # (9, 3) a prime dividing q divides every member
+            for start in range(2, q + 2):
+                for limit in limits:  # p^2 - 1, p^2, p^2 + 1 for p = 2, 3, 5, 7, 11
+                    table = census._spf(limit, q, start)
+                    assert table.dtype == np.int32
+                    assert table.tolist() == spf[start : limit + 1 : q], (q, start, limit)
 
     def test_routes_share_no_table(self, monkeypatch):
         x, q, a = 1000, 4, 1
@@ -400,24 +405,43 @@ class TestPsi:
         monkeypatch.setattr(census, "_prime_flags", lambda limit: flags)
         d, e = psi_paths(x, q, a)
         assert d == direct and e != pytest.approx(enumerated, rel=1e-9)
+        monkeypatch.undo()
+        sieve = arith._sieve_upto  # route 1's base primes, without 3
+        monkeypatch.setattr(arith, "_sieve_upto",
+                            lambda limit: tuple(p for p in sieve(limit) if p != 3))
+        d, e = psi_paths(x, q, a)
+        assert e == enumerated and d != pytest.approx(direct, rel=1e-9)
 
     @pytest.mark.parametrize("k,wrong", [(13, 7), (25, 3), (9, 7)])
     def test_planted_spf_fault_breaks_psi(self, monkeypatch, k, wrong):
         x, q, a = 1000, 4, 1
         enumerated = psi_paths(x, q, a)[1]
-        spf = census._spf(x).copy()
-        spf[k] = wrong
-        monkeypatch.setattr(census, "_spf", lambda limit: spf)
+        spf = census._spf(x, q, 5).copy()  # members 5, 9, 13, ...
+        spf[(k - 5) // q] = wrong
+        monkeypatch.setattr(census, "_spf", lambda limit, q, start: spf)
         assert psi_paths(x, q, a)[1] == enumerated
         with pytest.raises(ArithmeticError, match="psi paths disagree"):
             psi(x, q, a)
 
+    def test_peak_memory(self):
+        # tracemalloc sees numpy's buffers; a table over all of 0..x would
+        # alone take 4 MB here, the class table 62 kB
+        census._prime_flags.cache_clear()
+        tracemalloc.start()
+        try:
+            psi_paths(10**6, 64, 63)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+
     def test_size_cap(self, monkeypatch):
-        def no_table(limit):
+        def no_table(*args):
             raise AssertionError("a table was built past the cap")
 
         monkeypatch.setattr(census, "_spf", no_table)
         monkeypatch.setattr(census, "_prime_flags", no_table)
+        monkeypatch.setattr(arith, "_sieve_upto", no_table)
         assert census.PSI_MAX_X < 2**31
         with pytest.raises(DomainError, match="exceeds the psi limit"):
             psi(census.PSI_MAX_X + 1, 4, 1)
