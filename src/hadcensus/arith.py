@@ -47,7 +47,7 @@ class PrimalityResult:
 def _sieve_upto(limit):
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     return tuple(itertools.compress(range(limit + 1), flags))

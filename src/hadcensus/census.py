@@ -18,8 +18,8 @@ table tests too, the check covers the table's sieve and indexing, not
 arith's primality test (ROADMAP open item 2).  The first k whose flags
 differ names the fault.  pi_count sieves only the odd members of its
 class, psi's smallest-prime-factor route only the members of its own; psi's
-two routes share no table.  Past TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X,
-nothing is built.
+other route reads pi's sieve, checking it, and the two share no table.
+Past TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
 With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
@@ -44,8 +44,8 @@ from .errors import DomainError, WindowError
 SEGMENT_SIZE = 1 << 20  # odd class members per pi sieve segment
 # q = 4 sieves 10^9 in 1.0 s, 10^10 in 21 s on a 2-vCPU VM; ~4 MB at the cap
 PI_MAX_X = 10**11
-# psi takes ~19 bytes per class member (route 1), ~3 per integer (route 2);
-# at x = 10^7 it peaks at 18.6 bytes per integer for q = 1, 5.1 for q = 4
+# psi takes ~19 bytes per class member (route 1) and a sieve segment (route 2);
+# at x = 10^7 it peaks at 18.6 bytes per integer for q = 1, 4.25 for q = 4
 PSI_MAX_X = 10**8
 PSI_REL_TOL = 1e-9  # psi's two routes agree to this, relative to the larger
 # Census table rows sieve with odd primes up to this; past its square,
@@ -379,7 +379,9 @@ def _spf(limit, q, start):
 
 def psi_paths(x, q, a):
     """Chebyshev psi over the progression a mod q, two independent routes:
-    per-k von Mangoldt summation and prime-power enumeration."""
+    per-k von Mangoldt summation over _spf's class table (base primes from
+    arith._sieve_upto), and pi's class primes plus the class powers of the
+    primes up to isqrt(x) (base primes from _prime_flags)."""
     if q < 1:
         raise DomainError("q must be positive")
     if x > PSI_MAX_X:
@@ -392,23 +394,21 @@ def psi_paths(x, q, a):
     # Route 1: Lambda(k) for each k in the progression via smallest-prime-
     # factor reduction (k is a prime power iff dividing out spf reaches 1).
     start = a if a >= 2 else a + q * ((2 - a + q - 1) // q)
-    ks = np.arange(start, x + 1, q, dtype=np.int32)
     p = _spf(x, q, start)
-    w = ks // p
+    w = np.arange(start, x + 1, q, dtype=np.int32) // p
     idx = np.flatnonzero(w % p == 0)
     while idx.size:
         w[idx] //= p[idx]
         idx = idx[w[idx] % p[idx] == 0]
     direct = float(np.log(p[w == 1].astype(np.float64)).sum())
-    # Route 2: enumerate primes and their powers, filter by residue.
-    primes = np.flatnonzero(_prime_flags(x))
-    total = float(np.log(primes[primes % q == a].astype(np.float64)).sum())
-    for prime in primes[primes <= math.isqrt(x)].tolist():
-        logp = math.log(prime)
+    # Route 2: pi's class primes, then the class powers of primes <= isqrt(x).
+    total = sum((float(np.log(n + step * np.flatnonzero(hits)).sum())
+                 for n, step, hits in _progression_hits(x, q, a)), 0.0)
+    for prime in np.flatnonzero(_prime_flags(math.isqrt(x))).tolist():
         pk = prime * prime
         while pk <= x:
             if pk % q == a:
-                total += logp
+                total += math.log(prime)
             pk *= prime
     return direct, total
 

@@ -73,6 +73,18 @@ class TestSmallPrimeScreen:
         for n in range(20_000):
             assert bool(is_prime(n)) == (n in primes), n
 
+    def test_sieve_upto_bound(self):
+        # math.isqrt(limit) is the exact last base prime candidate: every
+        # limit below 2000 against trial division, then pi(2^16) and pi(2^20)
+        # distinct, ascending values that each pass is_prime
+        primes = [n for n in range(2000) if trial_division_prime(n)]
+        for limit in range(2000):
+            assert arith._sieve_upto(limit) == tuple(p for p in primes if p <= limit)
+        for limit, count in ((1 << 16, 6542), (1 << 20, 82025)):
+            got = arith._sieve_upto(limit)
+            assert len(got) == count and list(got) == sorted(set(got))
+            assert got[-1] <= limit and all(is_prime(p) for p in got)
+
     def test_squarefree_products_of_small_primes(self):
         # gcd(n, product of SMALL_PRIMES) = n for these: n itself decides
         for n in (6, 15, 30, 105, 210, 385, 3 * 331, 991):

@@ -400,8 +400,18 @@ class TestPsi:
     def test_routes_share_no_table(self, monkeypatch):
         x, q, a = 1000, 4, 1
         direct, enumerated = psi_paths(x, q, a)
-        flags = census._prime_flags(x).copy()
-        flags[13] = False  # 13 = 1 mod 4
+        progression_hits = census._progression_hits
+
+        def without_13(*args):  # route 2's class primes, without 13 = 1 mod 4
+            for n, step, hits in progression_hits(*args):
+                yield n, step, hits & (n + step * np.arange(hits.size) != 13)
+
+        monkeypatch.setattr(census, "_progression_hits", without_13)
+        d, e = psi_paths(x, q, a)
+        assert d == direct and e == pytest.approx(enumerated - math.log(13), rel=1e-12)
+        monkeypatch.undo()
+        flags = census._prime_flags(math.isqrt(x)).copy()
+        flags[3] = False  # route 2's base primes, without 3
         monkeypatch.setattr(census, "_prime_flags", lambda limit: flags)
         d, e = psi_paths(x, q, a)
         assert d == direct and e != pytest.approx(enumerated, rel=1e-9)
@@ -424,8 +434,8 @@ class TestPsi:
             psi(x, q, a)
 
     def test_peak_memory(self):
-        # tracemalloc sees numpy's buffers; a table over all of 0..x would
-        # alone take 4 MB here, the class table 62 kB
+        # tracemalloc sees numpy's buffers; a bool table over all of 0..x
+        # would alone take 1 MB here, an int32 one 4 MB, the class table 62 kB
         census._prime_flags.cache_clear()
         tracemalloc.start()
         try:
@@ -433,7 +443,35 @@ class TestPsi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3_000_000
+        assert peak < 1_000_000
+
+    def test_no_table_outlives_the_call(self):
+        # the cached tables are base flags to isqrt(x), here one of 1001
+        # bytes for all eight x; a cached table over 0..x would keep 1 MB each
+        tracemalloc.start()
+        try:
+            for i in range(8):
+                psi_paths(10**6 + i, 4, 3)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 100_000
+
+    def test_planted_class_sieve_fault_breaks_psi(self, monkeypatch):
+        # Without the base prime 13, pi's class sieve lets 169 = 13^2 through
+        # as a prime (13*17 = 221 is past x), and route 2 no longer counts
+        # 169 as a power of 13: route 2 gains log 13, route 1 does not move.
+        x, q, a = 200, 4, 1
+        direct, enumerated = psi_paths(x, q, a)
+        count = pi_count(x, q, a)
+        flags = census._prime_flags(math.isqrt(x)).copy()
+        flags[13] = False
+        monkeypatch.setattr(census, "_prime_flags", lambda limit: flags)
+        assert pi_count(x, q, a) == count + 1
+        d, e = psi_paths(x, q, a)
+        assert d == direct and e == pytest.approx(enumerated + math.log(13), rel=1e-12)
+        with pytest.raises(ArithmeticError, match="psi paths disagree"):
+            psi(x, q, a)
 
     def test_size_cap(self, monkeypatch):
         def no_table(*args):
@@ -441,6 +479,7 @@ class TestPsi:
 
         monkeypatch.setattr(census, "_spf", no_table)
         monkeypatch.setattr(census, "_prime_flags", no_table)
+        monkeypatch.setattr(census, "_progression_hits", no_table)
         monkeypatch.setattr(arith, "_sieve_upto", no_table)
         assert census.PSI_MAX_X < 2**31
         with pytest.raises(DomainError, match="exceeds the psi limit"):
