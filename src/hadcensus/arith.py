@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError
 
@@ -153,8 +152,10 @@ _TRIAL_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.TRIAL_DIVISION, Tru
 _NOT_PRIME = PrimalityResult(Verdict.NOT_PRIME, Method.TRIAL_DIVISION, True)
 
 
-@lru_cache(maxsize=1 << 21)
-def _verdict(n):
+def is_prime(n):
+    """Primality verdict for n >= 0; exact below 2^64, BPSW-style above."""
+    if n <= 1:
+        return _NOT_PRIME
     if math.gcd(n, _SMALL_PRODUCT) > 1:  # n <= 997 too; gcd(15, ...) = 15: test membership
         return _TRIAL_PRIME if n in SMALL_PRIMES else _TRIAL_COMPOSITE
     if n < _SMALL_LIMIT:
@@ -168,13 +169,6 @@ def _verdict(n):
     if _mr_composite(n, 2, d, s):
         return _COMPOSITE
     return _PROBABLE if _strong_lucas_prp(n) else _COMPOSITE
-
-
-def is_prime(n):
-    """Primality verdict for n >= 0; exact below 2^64, BPSW-style above."""
-    if n <= 1:
-        return _NOT_PRIME
-    return _verdict(n)
 
 
 def jacobi(a, n):

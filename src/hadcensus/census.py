@@ -12,13 +12,14 @@ A census, density_report, sieves one table of prime flags for 2^m*k - 1
 of it.  The sigma identity checks it row by row against one second route,
 _progression_primes: a strided screen of the progression by the primes to
 SIGMA_SCREEN_BOUND, exact below 2^32 and primality-tested past it, which
-shares no sieve, inverse or branch with the table.  Both routes take their
-primality verdicts from arith's cached _verdict, so past 2^40, where the
-table tests too, the check covers the table's sieve and indexing, not
-arith's primality test (ROADMAP open item 2).  The first k whose flags
-differ names the fault.  pi_count sieves only the odd members of its
-class, psi's smallest-prime-factor route only the members of its own; psi's
-other route reads pi's sieve, checking it, and the two share no table.
+shares no sieve, inverse or branch with the table.  Past 2^40, where the
+table tests its survivors too, the second route re-reads the table's
+verdicts from a dict the census keeps, keyed by value, so the check covers
+the table's sieve and indexing, not arith's primality test (ROADMAP open
+item 2).  The first k whose flags differ names the fault.  pi_count sieves
+only the odd members of its class, psi's smallest-prime-factor route only
+the members of its own; psi's other route reads pi's sieve, checking it,
+and the two share no table.
 Past TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
@@ -34,12 +35,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import arith
-from .errors import DomainError, WindowError
+from .errors import DomainError, SelfCheckError, WindowError
 
 SEGMENT_SIZE = 1 << 20  # odd class members per pi sieve segment
 # q = 4 sieves 10^9 in 1.0 s, 10^10 in 21 s on a 2-vCPU VM; ~4 MB at the cap
@@ -118,10 +118,11 @@ class CensusReport:
 # --- the census table -------------------------------------------------------
 
 
-def _prime_table(x, epsilon, allow_probable=True):
+def _prime_table(x, epsilon, allow_probable=True, verdicts=None):
     """(prime, probable) over m = 1..floor(epsilon*log2(x)) and odd k <= x:
     prime[m-1, j] when 2^m*(2j+1) - 1 counts as prime, probable when only
-    as a probable prime.
+    as a probable prime.  The verdicts of the survivors tested past
+    TABLE_SIEVE_BOUND^2 go into the dict verdicts, if given, by value.
 
     2^m*k - 1 = 0 (mod p) exactly when k = 2^-m (mod p), so row m crosses
     those k out for every odd prime p <= min(isqrt(2^m*x), TABLE_SIEVE_BOUND)
@@ -129,6 +130,7 @@ def _prime_table(x, epsilon, allow_probable=True):
     through the row; each larger one hits at most one k, all in one step.
     """
     rows = arith.max_m_leq(epsilon, x)  # >= max_m_lt(epsilon, x): N's window
+    verdicts = {} if verdicts is None else verdicts
     nk = (x + 1) // 2
     if 2 * rows * nk > TABLE_BYTES_MAX:
         raise DomainError(f"census table for x = {x} needs {2 * rows * nk} "
@@ -156,7 +158,8 @@ def _prime_table(x, epsilon, allow_probable=True):
         row[large[large < nk]] = False
         if root > TABLE_SIEVE_BOUND:  # survivors may still be composite
             for i in np.flatnonzero(row).tolist():
-                r = arith.is_prime(((2 * i + 1) << m) - 1)
+                n = ((2 * i + 1) << m) - 1
+                r = verdicts[n] = arith.is_prime(n)
                 row[i] = r.counts(allow_probable)
                 probable[m - 1, i] = row[i] and not r.is_certified
     return prime, probable
@@ -204,20 +207,17 @@ def _closure_count(flags, x):
 # --- the sigma identity's second route ----------------------------------------
 
 
-@lru_cache(maxsize=2)
-def _screen_primes(bound):
-    return np.array(arith._sieve_upto(bound)[1:])  # odd primes <= bound
-
-
-def _progression_primes(l, x, allow_probable=True):
+def _progression_primes(l, x, screen, verdicts, allow_probable=True):
     """keep[j] when 2^l*(2j + 1) - 1 counts as prime, for odd 2j + 1 <= x:
     the primes p <= 2^l*x with p = 2^l - 1 (mod 2^(l+1)), the sigma
     identity's second route.
 
-    Each odd prime p <= min(isqrt(2^l*x), SIGMA_SCREEN_BOUND) strikes out
-    every k = 2j + 1 = 2^-l (mod p), all p through one index j + rank*p,
-    sparing the k whose value is p.  Below about 2^32 (isqrt(2^l*x) within
-    the bound) the survivors are the primes; past it each one is tested.
+    Each odd prime p <= isqrt(2^l*x) of screen, the odd primes up to
+    SIGMA_SCREEN_BOUND, strikes out every k = 2j + 1 = 2^-l (mod p), all p
+    through one index j + rank*p, sparing the k whose value is p.  Below
+    about 2^32 (isqrt(2^l*x) within the bound) the survivors are the
+    primes; past it each one takes its verdict from the dict verdicts, if
+    there, else from arith.is_prime, unstored.
 
     The route shares no sieve or indexing with _prime_table, so that a
     fault in the sieve or indexing of either shows as a disagreement: its
@@ -225,15 +225,13 @@ def _progression_primes(l, x, allow_probable=True):
     raises (p + 1)/2 to the l-th power, with no inverse carried over; every
     p strides, with no large-prime branch.  Its primality tests are not
     independent: from 2^32 to 2^40 they face the table's sieve, but past
-    2^40 the table asks the same lru-cached arith._verdict, and most answers
-    are cache hits on the table's own verdicts, so a fault in arith's test
-    shows in neither.
+    2^40 density_report passes the table's own verdicts, and most survivors
+    read theirs there, so a fault in arith's test shows in neither.
     """
     keep = np.ones((x + 1) // 2, dtype=bool)
     keep[:1] = l > 1  # 2*1 - 1 = 1
     root = math.isqrt(x << l)
-    primes = _screen_primes(SIGMA_SCREEN_BOUND)
-    p = primes[: np.searchsorted(primes, root, side="right")]
+    p = screen[: np.searchsorted(screen, root, side="right")]
     half, inv = (p + 1) // 2, np.ones_like(p)  # 2^-1 and 2^-0 (mod p)
     for bit in bin(l)[2:]:  # inv = half^l by square and multiply
         inv = inv * inv % p * half ** int(bit) % p
@@ -244,14 +242,15 @@ def _progression_primes(l, x, allow_probable=True):
     keep[np.repeat(j, count) + np.repeat(p, count) * rank] = False
     if root > SIGMA_SCREEN_BOUND:
         for j in np.flatnonzero(keep).tolist():
-            keep[j] = arith.is_prime(((2 * j + 1) << l) - 1).counts(allow_probable)
+            n = ((2 * j + 1) << l) - 1
+            r = verdicts[n] if n in verdicts else arith.is_prime(n)
+            keep[j] = r.counts(allow_probable)
     return keep
 
 
 # --- primes in arithmetic progression ---------------------------------------
 
 
-@lru_cache(maxsize=8)
 def _prime_flags(limit):
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
@@ -321,13 +320,6 @@ def I_closed(M, L, a):
     return math.log((1 + L * a) / (1 + M * a))
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre():
-    from numpy.polynomial import legendre  # only here: a few ms to import
-
-    return legendre.leggauss(GAUSS_POINTS)
-
-
 def I_quadrature(M, L, a):
     """Numerical twin of I_closed by composite Gauss-Legendre quadrature.
 
@@ -335,13 +327,15 @@ def I_quadrature(M, L, a):
     distance from the pole at -1/a, and every panel takes GAUSS_POINTS
     nodes.  No log is called, so the value is independent of I_closed's.
     """
+    from numpy.polynomial import legendre  # only here: a few ms to import
+
     _check_integral_domain(M, L, a)
     edges = [M]
     while edges[-1] < L:
         edges.append(min(L, 2 * edges[-1] + 1 / a))
     edges = np.array(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    nodes, weights = _gauss_legendre()
+    nodes, weights = legendre.leggauss(GAUSS_POINTS)
     half = (hi - lo)[:, None] / 2
     t = (hi + lo)[:, None] / 2 + half * nodes
     return float((half * weights * (a / (1 + t * a))).sum())
@@ -418,7 +412,7 @@ def psi(x, q, a):
     direct, enumerated = psi_paths(x, q, a)
     scale = max(abs(direct), abs(enumerated), 1.0)
     if abs(direct - enumerated) > PSI_REL_TOL * scale:
-        raise ArithmeticError(f"psi paths disagree: {direct} vs {enumerated}")
+        raise SelfCheckError(f"psi paths disagree: {direct} vs {enumerated}")
     return direct
 
 
@@ -433,13 +427,15 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     L = arith.max_m_leq(epsilon, x) - 1
     if L < 1:
         raise WindowError(f"empty window: L = {L} for x = {x}, epsilon = {epsilon}")
-    prime, probable = _prime_table(x, epsilon, allow_probable)
+    verdicts = {}  # the table's, re-read by the second route
+    prime, probable = _prime_table(x, epsilon, allow_probable, verdicts)
+    screen = np.array(arith._sieve_upto(SIGMA_SCREEN_BOUND)[1:])  # odd primes
     terms = []
     for l, row in enumerate(prime[:L], 1):
-        keep = _progression_primes(l, x, allow_probable)
+        keep = _progression_primes(l, x, screen, verdicts, allow_probable)
         wrong = np.flatnonzero(row != keep)
         if wrong.size:
-            raise ArithmeticError(
+            raise SelfCheckError(
                 f"sigma identity violated at l = {l}: k = {2 * wrong[0] + 1}")
         terms.append((l, int(np.count_nonzero(keep))))
     S = prime[:L].sum(axis=0)

@@ -4,12 +4,13 @@ Subcommands: build, verify, search, census, riesel, pi, psi.
 Exit codes: 0 success, 1 I/O, parse or domain failure (a file that cannot
 be read or written, a malformed .pm file, an argument out of range, an
 input past a size cap, an empty census window), 2 prime search exhausted,
-3 verification failure, 4 covering gap.  FAILURES is the one table of
+3 verification failure (a matrix that is not Hadamard, or a census or psi
+whose two routes disagree), 4 covering gap.  FAILURES is the one table of
 them: main alone catches them and prints one stderr line each, such as
-"I/O error: <OSError text>" for any file.  An argument argparse cannot
-parse, or a missing or unknown one, never reaches FAILURES: argparse
-prints its usage and an error line and exits 2, the code of an exhausted
-prime search.
+"I/O error: <OSError text>" for any file or "check failed: <text>" for a
+self-check.  An argument argparse cannot parse, or a missing or unknown
+one, never reaches FAILURES: argparse prints its usage and an error line
+and exits 2, the code of an exhausted prime search.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from . import census, construct, solver
 from .errors import (CoverageGap, DomainError, NoPrimeInRange, PmParseError,
-                     WindowError)
+                     SelfCheckError, WindowError)
 from .jsonio import canonical_json
 from .matrix import is_hadamard, read_matrix, write_matrix
 
@@ -41,6 +42,7 @@ FAILURES = (
     (OSError, EXIT_IO, "I/O error: {0}"),
     (DomainError, EXIT_IO, "domain error: {0}"),
     (WindowError, EXIT_IO, "window error: {0}"),
+    (SelfCheckError, EXIT_NOT_HADAMARD, "check failed: {0}"),
 )
 
 

@@ -82,9 +82,9 @@ def _quadratic_character_row(q):
 
 def paley_I(q):
     """Paley construction I: order q+1 for prime q = 3 mod 4."""
-    _check_paley_prime(q, PALEY_I)
-    if q + 1 > MAX_ORDER_DEFAULT:
+    if q + 1 > MAX_ORDER_DEFAULT:  # before the primality check trial-divides q
         raise SizeError(f"order {q + 1} exceeds max_order {MAX_ORDER_DEFAULT}")
+    _check_paley_prime(q, PALEY_I)
     chi = _quadratic_character_row(q)
     # Row 0 all +1; row 1 a +1 border, then -1 on the diagonal and chi(d)
     # for d = 1..q-1.  Core row i is row 1's core rotated by i.
@@ -93,10 +93,10 @@ def paley_I(q):
 
 def paley_II(q):
     """Paley construction II: order 2(q+1) for prime q = 1 mod 4."""
-    _check_paley_prime(q, PALEY_II)
     n = 2 * (q + 1)
     if n > MAX_ORDER_DEFAULT:
         raise SizeError(f"order {n} exceeds max_order {MAX_ORDER_DEFAULT}")
+    _check_paley_prime(q, PALEY_II)
     chi = _quadratic_character_row(q)
     # The first two rows of the symmetric conference matrix C of order q+1
     # (chi(-1) = +1 here; C's core is circulant), then the first four of

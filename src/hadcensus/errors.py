@@ -56,3 +56,7 @@ class CoverageGap(Exception):
 
 class WindowError(ValueError):
     """Census window is empty (L < 1)."""
+
+
+class SelfCheckError(ArithmeticError):
+    """Two independent routes to the same count disagree."""

@@ -105,13 +105,6 @@ class TestSmallPrimeScreen:
             assert r.method is not Method.TRIAL_DIVISION, n
 
 
-@pytest.fixture
-def fresh_verdicts():
-    arith._verdict.cache_clear()
-    yield
-    arith._verdict.cache_clear()
-
-
 def riesel_form(k, t):
     return (k << t) - 1
 
@@ -154,7 +147,7 @@ class TestLucasLehmerRiesel:
             if math.gcd(n, arith._SMALL_PRODUCT) == 1:
                 assert r.method is Method.LUCAS_LEHMER_RIESEL, (k, t)
 
-    def test_both_sides_of_2_64(self, monkeypatch, fresh_verdicts):
+    def test_both_sides_of_2_64(self, monkeypatch):
         below_primes = (riesel_form(4294967247, 32), riesel_form(4294967195, 32))
         above_primes = (riesel_form(2147483649, 33), riesel_form(2147483685, 33))
         for n in below_primes:
@@ -177,14 +170,13 @@ class TestLucasLehmerRiesel:
             assert n > arith.DETERMINISTIC_LIMIT
             assert is_prime(n).method is not Method.LUCAS_LEHMER_RIESEL
 
-    def test_p_search_bound_falls_back(self, monkeypatch, fresh_verdicts):
+    def test_p_search_bound_falls_back(self, monkeypatch):
         # past the bound the witness set decides, with its own label
         monkeypatch.setattr(arith, "LLR_P_BOUND", 3)
         for n, prime in ((2**61 - 1, True), (2**59 - 1, False)):
             r = is_prime(n)
             assert bool(r) is prime and r.method is Method.DETERMINISTIC_WITNESS_SET
         # only P = 3 is tried: n with (5 | n) = 1 falls back
-        arith._verdict.cache_clear()
         monkeypatch.setattr(arith, "LLR_P_BOUND", 4)
         n = 2**61 - 1
         assert jacobi(5, n) == 1

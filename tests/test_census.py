@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -42,10 +43,19 @@ def brute_mangoldt(k):
     return math.log(p) if k == 1 else 0.0
 
 
+VERDICTS = {}  # the brute census's arith.is_prime answers, shared by its cases
+
+
+def verdict(n):
+    if n not in VERDICTS:
+        VERDICTS[n] = arith.is_prime(n)
+    return VERDICTS[n]
+
+
 def S_count(k, L, allow_probable=True):
     """Number of l in 1..L with 2^l*k - 1 counted as prime (k odd), one
     verdict at a time: the S of _brute_census."""
-    return sum(arith.is_prime((k << l) - 1).counts(allow_probable)
+    return sum(verdict((k << l) - 1).counts(allow_probable)
                for l in range(1, L + 1))
 
 
@@ -116,9 +126,11 @@ class TestSigma:
         # their survivors one by one.
         for bound in (census.SIGMA_SCREEN_BOUND, 2**5):
             monkeypatch.setattr(census, "SIGMA_SCREEN_BOUND", bound)
+            screen = np.array([p for p in range(3, bound + 1, 2) if trial_division_prime(p)])
             for x in (1, 2, 5, 100, 1001):
                 for l in range(1, 12):
-                    assert np.count_nonzero(census._progression_primes(l, x)) == \
+                    keep = census._progression_primes(l, x, screen, {})
+                    assert np.count_nonzero(keep) == \
                         pi_count(x << l, 2 << l, (1 << l) - 1), (bound, x, l)
 
 
@@ -322,7 +334,6 @@ class TestIntegral:
     def test_quadrature_calls_no_log(self, monkeypatch):
         # the quadrature stays independent of I_closed's log
         expected = I_quadrature(3, 500, 0.25)
-        census._gauss_legendre.cache_clear()  # the nodes too, under the patch
 
         def refused(*args):
             raise AssertionError("I_quadrature called a log")
@@ -410,7 +421,7 @@ class TestPsi:
         d, e = psi_paths(x, q, a)
         assert d == direct and e == pytest.approx(enumerated - math.log(13), rel=1e-12)
         monkeypatch.undo()
-        flags = census._prime_flags(math.isqrt(x)).copy()
+        flags = census._prime_flags(math.isqrt(x))
         flags[3] = False  # route 2's base primes, without 3
         monkeypatch.setattr(census, "_prime_flags", lambda limit: flags)
         d, e = psi_paths(x, q, a)
@@ -436,7 +447,6 @@ class TestPsi:
     def test_peak_memory(self):
         # tracemalloc sees numpy's buffers; a bool table over all of 0..x
         # would alone take 1 MB here, an int32 one 4 MB, the class table 62 kB
-        census._prime_flags.cache_clear()
         tracemalloc.start()
         try:
             psi_paths(10**6, 64, 63)
@@ -446,8 +456,7 @@ class TestPsi:
         assert peak < 1_000_000
 
     def test_no_table_outlives_the_call(self):
-        # the cached tables are base flags to isqrt(x), here one of 1001
-        # bytes for all eight x; a cached table over 0..x would keep 1 MB each
+        # a table over 0..x kept past the call would take 1 MB for each x
         tracemalloc.start()
         try:
             for i in range(8):
@@ -464,7 +473,7 @@ class TestPsi:
         x, q, a = 200, 4, 1
         direct, enumerated = psi_paths(x, q, a)
         count = pi_count(x, q, a)
-        flags = census._prime_flags(math.isqrt(x)).copy()
+        flags = census._prime_flags(math.isqrt(x))
         flags[13] = False
         monkeypatch.setattr(census, "_prime_flags", lambda limit: flags)
         assert pi_count(x, q, a) == count + 1
@@ -551,7 +560,7 @@ def _brute_census(x, eps, allow_probable):
         return m
 
     def counted(k, m):  # (2^m*k - 1 counts as prime, only probably prime)
-        r = arith.is_prime((k << m) - 1)
+        r = verdict((k << m) - 1)
         ok = bool(r) and (allow_probable or r.is_certified)
         return ok, ok and not r.is_certified
 
@@ -634,6 +643,32 @@ class TestCensusTable:
         for field, value in expected.items():
             assert getattr(report, field) == value, field
 
+    def test_no_verdict_outlives_the_census(self):
+        # (837, 17/3) tests values past 2^40 in both routes; its verdicts,
+        # or a table of flags to TABLE_SIEVE_BOUND, kept past the call would
+        # take more than 1 MB.  (9 991, 5) takes 14 s under tracemalloc.
+        tracemalloc.start()
+        try:
+            density_report(837, Fraction(17, 3))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 100_000
+
+    def test_census_asks_no_value_twice(self, monkeypatch):
+        # past 2^40 the second route re-reads the table's verdicts rather
+        # than asking arith again (ROADMAP open item 2)
+        asked = Counter()
+        is_prime = arith.is_prime
+
+        def counted(n):
+            asked[n] += 1
+            return is_prime(n)
+
+        monkeypatch.setattr(arith, "is_prime", counted)
+        density_report(9991, 5)
+        assert asked and max(asked.values()) == 1
+
     def test_composites_past_the_sieve_bound_are_rejected(self):
         # 2^m*k - 1 = p*q with both factors above TABLE_SIEVE_BOUND: the
         # sieve cannot cross these out, only the survivor test can
@@ -692,7 +727,7 @@ class TestCensusTable:
         sieve = census._prime_flags
 
         def faulty(limit):
-            flags = sieve(limit).copy()
+            flags = sieve(limit)
             flags[dropped] = False
             return flags
 

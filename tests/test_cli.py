@@ -176,6 +176,19 @@ class TestCensus:
         assert (code, out) == (EXIT_IO, "")
         assert err == f"I/O error: [Errno 2] No such file or directory: {str(path)!r}\n"
 
+    def test_planted_table_fault_fails_the_check(self, monkeypatch, capsys):
+        build = census._prime_table
+
+        def faulty(*args):
+            prime, probable = build(*args)
+            prime[0, 1] = False  # 2*3 - 1 = 5
+            return prime, probable
+
+        monkeypatch.setattr(census, "_prime_table", faulty)
+        code, out, err = run(["census", "--x", "100", "--epsilon", "1"], capsys)
+        assert (code, out) == (EXIT_NOT_HADAMARD, "")
+        assert err == "check failed: sigma identity violated at l = 1: k = 3\n"
+
 
 class TestRiesel:
     def test_default_certificate(self, capsys):
@@ -211,6 +224,15 @@ class TestScalarCommands:
                            capsys)
         assert code == EXIT_OK
         assert float(out) == pytest.approx(math.log(315), rel=1e-9)
+
+    def test_planted_spf_fault_fails_the_check(self, monkeypatch, capsys):
+        spf = census._spf(1000, 4, 5)  # members 5, 9, 13, ...
+        spf[(13 - 5) // 4] = 7
+        monkeypatch.setattr(census, "_spf", lambda limit, q, start: spf)
+        direct, enumerated = census.psi_paths(1000, 4, 1)
+        code, out, err = run(["psi", "--x", "1000", "--q", "4", "--a", "1"], capsys)
+        assert (code, out) == (EXIT_NOT_HADAMARD, "")
+        assert err == f"check failed: psi paths disagree: {direct} vs {enumerated}\n"
 
     @pytest.mark.parametrize("a,printed", [
         ("1", "0\n"), (str(10**30 + 9), "1.09861229\n")])

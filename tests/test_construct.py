@@ -89,8 +89,15 @@ def test_paley_rows_match_dense_reference():
         assert np.array_equal(M.to_dense(), dense_paley(q)), q
 
 
-def test_paley_size_guard():
-    for build, q in ((paley_I, 65539), (paley_II, 32789)):
+def test_paley_size_guard(monkeypatch):
+    def refused(n):
+        raise AssertionError(f"{n} was factored past the order cap")
+
+    # the order is checked first: the prime check would trial-divide this q
+    monkeypatch.setattr(arith, "factorize", refused)
+    composite = (2**31 - 1) * (2**61 - 1)
+    for build, q in ((paley_I, 65539), (paley_II, 32789),
+                     (paley_I, composite), (paley_II, composite)):
         with pytest.raises(SizeError, match=f"max_order {MAX_ORDER_DEFAULT}"):
             build(q)
 
