@@ -2,7 +2,8 @@
 
 Encoding: each row is a Python int used as a bit vector; bit j set means
 entry -1, clear means +1.  An all-+1 row is the integer 0, so dot products
-reduce to popcounts: row_i . row_j = n - 2*popcount(row_i XOR row_j).
+reduce to popcounts: row_i . row_j = n - 2*popcount(row_i XOR row_j).  .pm
+text moves PM_BLOCK_BYTES at a time, so a read holds packed rows and one block.
 
 Rotation shape, shared by both Paley constructions: a border of w rows
 and columns around the core columns w..n-1, rows 0..w-1 unchanged when
@@ -23,6 +24,7 @@ holds exactly.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +32,7 @@ import numpy as np
 from .errors import PmParseError
 
 GRAM_BLOCK_ENTRIES = 1 << 24  # float32 entries per Gram block: 64 MB
-
-_TO_PM = bytes.maketrans(b"01", b"+-")
+PM_BLOCK_BYTES = 1 << 20  # .pm text per block of rows written or read
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,12 +72,17 @@ class PlusMinusMatrix:
         return _unpack(self, 0, self.n, np.int8)
 
 
-def _unpack(M, lo, hi, dtype):
-    """Rows lo..hi - 1 of M as an array of the given dtype: bit 1 is entry -1."""
+def _bits(M, lo, hi):
+    """Rows lo..hi - 1 of M as a uint8 array of their bits: 1 is entry -1."""
     nbytes = (M.n + 7) // 8
     buf = b"".join(r.to_bytes(nbytes, "little") for r in M.rows[lo:hi])
     bits = np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")
-    return np.where(bits.reshape(-1, 8 * nbytes)[:, : M.n], dtype(-1), dtype(1))
+    return bits.reshape(-1, 8 * nbytes)[:, : M.n]
+
+
+def _unpack(M, lo, hi, dtype):
+    """Rows lo..hi - 1 of M as an array of the given dtype: bit 1 is entry -1."""
+    return np.where(_bits(M, lo, hi), dtype(-1), dtype(1))
 
 
 def _pack(minus):
@@ -143,16 +149,37 @@ def _gram_verdict(M: PlusMinusMatrix) -> bool:
 
 def write_matrix(M: PlusMinusMatrix, path):
     """Write the `.pm` text form: order line, then rows of '+'/'-', bit 0 first."""
+    block = max(1, PM_BLOCK_BYTES // (M.n + 1))
     with open(path, "wb") as fh:
         fh.write(b"%d\n" % M.n)
-        fh.writelines(format(r, f"0{M.n}b").encode()[::-1].translate(_TO_PM) + b"\n"
-                      for r in M.rows)
+        for lo in range(0, M.n, block):  # '-' is '+' + 2; a '\n' column ends the rows
+            fh.write(np.insert(ord("+") + 2 * _bits(M, lo, lo + block), M.n, ord("\n"), 1))
 
 
 def read_matrix(path) -> PlusMinusMatrix:
     """Parse a `.pm` file; raises PmParseError with the offending line."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        fh = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe, held whole to rewind
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        header = fh.readline(19)  # at most 18 digits and the newline
+        n = int(header) if header[:-1].isdigit() and header.endswith(b"\n") else 0
+        rows, block = [], max(1, PM_BLOCK_BYTES // (n + 1))
+        if n and size >= len(header) + n * (n + 1):  # too short a file allocates no block
+            for lo in range(0, n, block):
+                text = np.empty((min(block, n - lo), n + 1), np.uint8)
+                if (fh.readinto(text) < text.size or (text[:, n] != ord("\n")).any()
+                        or not ((text[:, :n] == ord("+")) | (text[:, :n] == ord("-"))).all()):
+                    break
+                rows += _pack(text[:, :n] == ord("-"))
+        if 0 < n == len(rows) and not fh.read().strip(b"\n"):
+            return PlusMinusMatrix(n, rows)
+        fh.seek(0)
+        _raise_parse_error(fh.read())
+
+
+def _raise_parse_error(data):
+    """Raise the PmParseError for the first fault in data, a refused `.pm` file."""
     lines = data.split(b"\n")
     header = lines[0]
     if not header:
@@ -170,6 +197,3 @@ def read_matrix(path) -> PlusMinusMatrix:
             raise PmParseError(f"row length {len(line)} != order {n}", i)
         if bad := line.translate(None, b"+-"):  # what is left is not + or -
             raise PmParseError(f"invalid character {repr(bad[:1])[1:]}", i)
-    # The rows are now n lines of n bytes and a newline each, after the header.
-    grid = np.frombuffer(data, np.uint8, n * (n + 1), len(header) + 1)
-    return PlusMinusMatrix(n, _pack(grid.reshape(n, n + 1)[:, :n] == ord("-")))

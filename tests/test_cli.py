@@ -81,6 +81,15 @@ class TestBuildVerify:
         assert out == ""
         assert err == "parse error: line 2: invalid character '\\xff'\n"
 
+    def test_verify_huge_order_header(self, tmp_path, capsys):
+        # the header claims 10^36 entries; the file holds one
+        bad = tmp_path / "bad.pm"
+        bad.write_bytes(b"999999999999999999\n+\n")
+        code, out, err = run(["verify", str(bad)], capsys)
+        assert (code, out) == (EXIT_IO, "")
+        assert err == ("parse error: line 3: expected 999999999999999999 rows "
+                       "plus trailing newline\n")
+
     def test_build_no_prime_in_window(self, capsys):
         code, _, err = run(["build", "--k", "509203", "--epsilon", "1/2"],
                            capsys)

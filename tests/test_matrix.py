@@ -1,4 +1,6 @@
 import itertools
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,7 +269,7 @@ def test_normalize_random_hadamard():
 
 def test_pm_round_trip(tmp_path):
     path = tmp_path / "s4.pm"
-    # Orders 4020 and 2020: a per-entry loop would take seconds here.
+    # Orders 4020 and 2020 each span several blocks of PM_BLOCK_BYTES.
     for M in (construct.sylvester(2), construct.paley_II(5), H1,
               construct.paley_I(4019), construct.paley_II(1009)):
         write_matrix(M, path)
@@ -300,13 +302,113 @@ def pm_matrices(draw):
     return PlusMinusMatrix(n, rows)
 
 
-@given(pm_matrices())
-@settings(max_examples=60)
-def test_pm_format_matches_reference(tmp_path_factory, M):
+# the default, one row per block (1 byte), and a few rows per block at the
+# small orders drawn (16 and 100 bytes)
+BLOCK_BYTES = (matrix.PM_BLOCK_BYTES, 1, 16, 100)
+
+
+@given(pm_matrices(), st.sampled_from(BLOCK_BYTES))
+@settings(max_examples=80)
+def test_pm_format_matches_reference(tmp_path_factory, M, block_bytes):
     path = tmp_path_factory.mktemp("pm") / "m.pm"
-    write_matrix(M, path)
-    assert path.read_bytes() == reference_pm(M)
-    assert read_matrix(path) == M
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "PM_BLOCK_BYTES", block_bytes)
+        write_matrix(M, path)
+        assert path.read_bytes() == reference_pm(M)
+        assert read_matrix(path) == M
+
+
+def reference_read(data):
+    """The `.pm` parser that splits the whole file into lines, kept to check
+    read_matrix's block reader against: a matrix, or the PmParseError."""
+    lines = data.split(b"\n")
+    header = lines[0]
+    if not header:
+        raise PmParseError("missing order header", 1)
+    if not header.isdigit() or len(header) > 18:  # int() refuses 4301 digits
+        raise PmParseError(f"bad order header {repr(header)[1:]}", 1)  # drop repr's b
+    n = int(header)
+    if n < 1:
+        raise PmParseError("order must be positive", 1)
+    if len(lines) < n + 2 or lines[n + 1 :] != [b""] * (len(lines) - n - 1):
+        raise PmParseError(f"expected {n} rows plus trailing newline",
+                           min(len(lines), n + 1))
+    for i, line in enumerate(lines[1 : n + 1], start=2):
+        if len(line) != n:
+            raise PmParseError(f"row length {len(line)} != order {n}", i)
+        if bad := line.translate(None, b"+-"):  # what is left is not + or -
+            raise PmParseError(f"invalid character {repr(bad[:1])[1:]}", i)
+    # The rows are now n lines of n bytes and a newline each, after the header.
+    grid = np.frombuffer(data, np.uint8, n * (n + 1), len(header) + 1)
+    return PlusMinusMatrix(n, matrix._pack(grid.reshape(n, n + 1)[:, :n] == ord("-")))
+
+
+def parsed(read, source):
+    """read(source), or the (line, text) of the PmParseError it raises."""
+    try:
+        return read(source)
+    except PmParseError as err:
+        return err.line, str(err)
+
+
+@st.composite
+def mutated_pm(draw):
+    """The `.pm` bytes of a drawn matrix, valid or with one fault."""
+    data = reference_pm(draw(pm_matrices()))
+    ends = [j for j, b in enumerate(data) if b == ord("\n")]
+    i = draw(st.one_of(st.integers(0, len(data) - 1), st.sampled_from(ends)))
+    byte = draw(st.sampled_from((b"+", b"-", b"\n", b"\r", b"0", b"*", b"\xff")))
+    return draw(st.sampled_from((
+        data,
+        data[:i],                               # truncated
+        data[:i] + byte + data[i:],             # one byte inserted
+        data[:i] + data[i + 1 :],               # one byte deleted
+        data[:i] + byte + data[i + 1 :],        # one byte replaced
+        data[:-1],                              # no final newline
+        data + b"\n" * draw(st.integers(1, 3)),  # trailing newlines
+        data + byte,                            # one stray byte
+        data.replace(b"\n", b"\r\n"),           # CRLF
+    )))
+
+
+@given(mutated_pm(), st.sampled_from(BLOCK_BYTES))
+@settings(max_examples=400)
+def test_pm_reader_matches_reference(tmp_path_factory, data, block_bytes):
+    path = tmp_path_factory.mktemp("pm") / "m.pm"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "PM_BLOCK_BYTES", block_bytes)
+        assert parsed(read_matrix, path) == parsed(reference_read, data)
+
+
+def test_pm_read_from_pipe():
+    # A pipe cannot be rewound, so read_matrix holds it whole; a fault is
+    # still named by its line.
+    for data in (reference_pm(construct.paley_II(5)), b"2\n++\n+*\n"):
+        r, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        try:
+            assert parsed(read_matrix, f"/dev/fd/{r}") == parsed(reference_read, data)
+        finally:
+            os.close(r)
+
+
+@pytest.mark.parametrize("op", ["read", "write"])
+def test_pm_io_memory(tmp_path, op):
+    # Order 4096: the packed rows take n^2/8 = 2.1 MB, the text 16.8 MB.  A
+    # reader that held the whole file, or a writer that built it whole,
+    # would pass 8 MB.
+    S = construct.sylvester(12)
+    path = tmp_path / "s.pm"
+    write_matrix(S, path)
+    tracemalloc.start()
+    try:
+        read_matrix(path) if op == "read" else write_matrix(S, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize(
@@ -322,9 +424,15 @@ def test_pm_format_matches_reference(tmp_path_factory, M):
         (b" 2\n++\n+-\n", 1),      # header: space
         (b"+2\n++\n+-\n", 1),      # header: sign
         (b"1_0\n", 1),             # header: digit separator
+        (b"12+", 1),               # header: no newline, a sign last
         (b"2\r\n++\r\n+-\r\n", 1),  # CRLF: the header ends in \r
         pytest.param(b"0" * 4300 + b"1\n+\n", 1,  # past int()'s digit limit
                      id="4301-digit-header"),
+        # orders whose rows the file is far too short to hold; a reader
+        # that sized its buffers from the header alone would fail to
+        # allocate them
+        (b"999999999999999999\n+\n", 3),
+        (b"3000000\n+\n", 3),
     ],
 )
 def test_pm_parse_errors(tmp_path, content, line):
