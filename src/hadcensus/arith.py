@@ -226,8 +226,8 @@ def mult_order(a, p):
 # Window membership tests of the form m <= eps*log2(k) are decided in exact
 # integer arithmetic: with eps = num/den, the condition is 2^(m*den) <= k^num.
 # k^num is refused past POWER_BITS_MAX bits (eps = 1e300 would need ~10^300).
-# A census's window bounds build k^num about 200 times, at 1 to 5 s each
-# at 2^24 bits.
+# A census's window bounds build k^num a few hundred times (886 at x = 9 991,
+# eps = 5); one power takes about 4 ms at 2^18 bits, 3 s at 2^24 (2-vCPU VM).
 POWER_BITS_MAX = 1 << 18
 
 

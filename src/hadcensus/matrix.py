@@ -3,7 +3,7 @@
 Encoding: each row is a Python int used as a bit vector; bit j set means
 entry -1, clear means +1.  An all-+1 row is the integer 0, so dot products
 reduce to popcounts: row_i . row_j = n - 2*popcount(row_i XOR row_j).  .pm
-text moves PM_BLOCK_BYTES at a time, so a read holds packed rows and one block.
+text moves PM_BLOCK_BYTES at a time; a read is one pass, refused or not.
 
 Rotation shape, shared by both Paley constructions: a border of w rows
 and columns around the core columns w..n-1, rows 0..w-1 unchanged when
@@ -24,7 +24,6 @@ holds exactly.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,43 +156,44 @@ def write_matrix(M: PlusMinusMatrix, path):
 
 
 def read_matrix(path) -> PlusMinusMatrix:
-    """Parse a `.pm` file; raises PmParseError with the offending line."""
+    """Parse a `.pm` file front to back; raises PmParseError naming the line of
+    the first fault, the row count and trailing newline checked before rows."""
     with open(path, "rb") as fh:
-        fh = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe, held whole to rewind
-        size = fh.seek(0, io.SEEK_END)
-        fh.seek(0)
-        header = fh.readline(19)  # at most 18 digits and the newline
-        n = int(header) if header[:-1].isdigit() and header.endswith(b"\n") else 0
-        rows, block = [], max(1, PM_BLOCK_BYTES // (n + 1))
-        if n and size >= len(header) + n * (n + 1):  # too short a file allocates no block
-            for lo in range(0, n, block):
-                text = np.empty((min(block, n - lo), n + 1), np.uint8)
-                if (fh.readinto(text) < text.size or (text[:, n] != ord("\n")).any()
-                        or not ((text[:, :n] == ord("+")) | (text[:, :n] == ord("-"))).all()):
-                    break
-                rows += _pack(text[:, :n] == ord("-"))
-        if 0 < n == len(rows) and not fh.read().strip(b"\n"):
-            return PlusMinusMatrix(n, rows)
-        fh.seek(0)
-        _raise_parse_error(fh.read())
-
-
-def _raise_parse_error(data):
-    """Raise the PmParseError for the first fault in data, a refused `.pm` file."""
-    lines = data.split(b"\n")
-    header = lines[0]
-    if not header:
-        raise PmParseError("missing order header", 1)
-    if not header.isdigit() or len(header) > 18:  # int() refuses 4301 digits
-        raise PmParseError(f"bad order header {repr(header)[1:]}", 1)  # drop repr's b
-    n = int(header)
-    if n < 1:
-        raise PmParseError("order must be positive", 1)
-    if len(lines) < n + 2 or lines[n + 1 :] != [b""] * (len(lines) - n - 1):
-        raise PmParseError(f"expected {n} rows plus trailing newline",
-                           min(len(lines), n + 1))
-    for i, line in enumerate(lines[1 : n + 1], start=2):
-        if len(line) != n:
-            raise PmParseError(f"row length {len(line)} != order {n}", i)
-        if bad := line.translate(None, b"+-"):  # what is left is not + or -
-            raise PmParseError(f"invalid character {repr(bad[:1])[1:]}", i)
+        header = fh.readline()
+        order = header.removesuffix(b"\n")
+        if not order:
+            raise PmParseError("missing order header", 1)
+        if not order.isdigit() or len(order) > 18:  # int() refuses 4301 digits
+            raise PmParseError(f"bad order header {repr(order)[1:]}", 1)  # drop repr's b
+        if (n := int(order)) < 1:
+            raise PmParseError("order must be positive", 1)
+        # line numbers the line being read (rows are lines 2..n + 1).  head keeps its
+        # first n + 1 bytes, so a longer line still fails as a row; skipped counts the rest.
+        line, rows, fault, head, skipped = 1 + (header != order), [], None, b"", 0
+        while buf := fh.read(PM_BLOCK_BYTES // (n + 1) * (n + 1) or PM_BLOCK_BYTES):
+            data = head + buf
+            k = min(n + 2 - line, len(data) // (n + 1)) if fault is None else 0
+            if k > 0:  # the rows owed that data holds whole, checked vectorised
+                text = np.frombuffer(data, np.uint8, k * (n + 1)).reshape(k, n + 1)
+                minus = text[:, :n] == ord("-")
+                if (text[:, n] == ord("\n")).all() and (minus | (text[:, :n] == ord("+"))).all():
+                    rows += _pack(minus)
+                    line, data = line + k, data[k * (n + 1) :]
+            # No whole line left can be a good row: it is past the rows, too
+            # short, or in a block that holds a bad row.
+            *ends, rest = data.split(b"\n")
+            for piece in ends:
+                length, skipped = skipped + len(piece), 0
+                if line > n + 1 and length:
+                    raise PmParseError(f"expected {n} rows plus trailing newline", n + 1)
+                if fault is None and line <= n + 1 and length != n:
+                    fault = PmParseError(f"row length {length} != order {n}", line)
+                elif fault is None and line <= n + 1 and (bad := piece.translate(None, b"+-")):
+                    fault = PmParseError(f"invalid character {repr(bad[:1])[1:]}", line)
+                line += 1
+            head, skipped = rest[: n + 1], skipped + max(0, len(rest) - n - 1)
+        if line < n + 2 or head:
+            raise PmParseError(f"expected {n} rows plus trailing newline", min(line, n + 1))
+        if fault is not None:
+            raise fault
+        return PlusMinusMatrix(n, rows)

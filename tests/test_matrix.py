@@ -1,5 +1,6 @@
 import itertools
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -371,44 +372,81 @@ def mutated_pm(draw):
     )))
 
 
-@given(mutated_pm(), st.sampled_from(BLOCK_BYTES))
+def parsed_from_pipe(data):
+    """parsed(read_matrix, ...) of data read from a pipe; data must fit the
+    pipe's buffer (64 KiB on Linux), as it is written before the read."""
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    try:
+        return parsed(read_matrix, f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+@given(mutated_pm(), st.sampled_from(BLOCK_BYTES), st.booleans())
 @settings(max_examples=400)
-def test_pm_reader_matches_reference(tmp_path_factory, data, block_bytes):
+def test_pm_reader_matches_reference(tmp_path_factory, data, block_bytes, piped):
+    # Drawn matrices take at most 17 KB of text, so each fits a pipe's buffer.
     path = tmp_path_factory.mktemp("pm") / "m.pm"
     path.write_bytes(data)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrix, "PM_BLOCK_BYTES", block_bytes)
-        assert parsed(read_matrix, path) == parsed(reference_read, data)
+        got = parsed_from_pipe(data) if piped else parsed(read_matrix, path)
+        assert got == parsed(reference_read, data)
 
 
 def test_pm_read_from_pipe():
-    # A pipe cannot be rewound, so read_matrix holds it whole; a fault is
-    # still named by its line.
+    # A pipe cannot be rewound, and read_matrix never needs to: it reads
+    # once front to back, and still names a fault by its line.
     for data in (reference_pm(construct.paley_II(5)), b"2\n++\n+*\n"):
-        r, w = os.pipe()
-        os.write(w, data)
+        assert parsed_from_pipe(data) == parsed(reference_read, data)
+
+
+def feed(w, data):
+    """Write data to the pipe end w, then close it."""
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[os.write(w, view):]
+    finally:
         os.close(w)
-        try:
-            assert parsed(read_matrix, f"/dev/fd/{r}") == parsed(reference_read, data)
-        finally:
-            os.close(r)
 
 
-@pytest.mark.parametrize("op", ["read", "write"])
+@pytest.mark.parametrize("op", ["read", "write", "read a bad entry", "read a pipe",
+                                "read no newlines"])
 def test_pm_io_memory(tmp_path, op):
     # Order 4096: the packed rows take n^2/8 = 2.1 MB, the text 16.8 MB.  A
     # reader that held the whole file, or a writer that built it whole,
-    # would pass 8 MB.
+    # would pass 8 MB; so would a reader that held a pipe whole, re-read a
+    # refused file whole, or carried a line without newlines whole.
     S = construct.sylvester(12)
     path = tmp_path / "s.pm"
     write_matrix(S, path)
+    data = path.read_bytes()
+    source, expected = path, S
+    if op == "read a bad entry":  # the last entry of the last row, line 4097
+        path.write_bytes(data[:-2] + b"*\n")
+        expected = (4097, "line 4097: invalid character '*'")
+    if op == "read no newlines":  # the header, then one 16.8 MB line
+        path.write_bytes(b"4096\n" + data[5:].replace(b"\n", b""))
+        expected = (2, "line 2: expected 4096 rows plus trailing newline")
+    if op == "read a pipe":  # far more than a pipe's buffer, so a thread writes it
+        r, w = os.pipe()
+        source = f"/dev/fd/{r}"
+        writer = threading.Thread(target=feed, args=(w, data))
+        writer.start()
     tracemalloc.start()
     try:
-        read_matrix(path) if op == "read" else write_matrix(S, path)
+        got = write_matrix(S, path) if op == "write" else parsed(read_matrix, source)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        if op == "read a pipe":
+            os.close(r)
+            writer.join()
     assert peak < 8 << 20
+    assert op == "write" or got == expected
 
 
 @pytest.mark.parametrize(
