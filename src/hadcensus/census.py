@@ -8,15 +8,16 @@ sandwich.  Exponent-window edges are decided in exact rational arithmetic
 (see arith.max_m_leq / max_m_lt).
 
 A census, density_report, sieves one table of prime flags for 2^m*k - 1
-(_prime_table); S, sum S^2, N, M, M' and the certified flag are reductions
-of it.  The sigma identity checks it row by row against one second route,
-_progression_primes: a strided screen of the progression by the primes to
-SIGMA_SCREEN_BOUND, exact below 2^32 and primality-tested past it, which
-shares no sieve, inverse or branch with the table.  Past 2^40, where the
-table tests its survivors too, the second route re-reads the table's
-verdicts from a dict the census keeps, keyed by value, so the check covers
-the table's sieve and indexing, not arith's primality test (ROADMAP open
-item 2).  The first k whose flags differ names the fault.  pi_count sieves
+(_prime_table), its one table-sized array; S, sum S^2, N, M, M' and the
+certified flag reduce it and its short list of probable primes.  The sigma
+identity checks it row by row against one second route, _progression_primes:
+a screen of the progression by the primes to SIGMA_SCREEN_BOUND, exact below
+2^32 and primality-tested past it, sharing no prime list, inverse or strike
+code with the table.  Past 2^40, where the table tests its survivors too,
+route 2 re-reads the table's verdicts from a dict the census keeps, keyed by
+value: the check covers the table's sieve and indexing, not arith's
+primality test, which would cost every such value a second test.  The
+first k whose flags differ names the fault.  pi_count sieves
 only the odd members of its class, psi's smallest-prime-factor route only
 the members of its own; psi's other route reads pi's sieve, checking it,
 and the two share no table.
@@ -53,7 +54,7 @@ PSI_REL_TOL = 1e-9  # psi's two routes agree to this, relative to the larger
 TABLE_SIEVE_BOUND = 1 << 20
 # The sigma check's second route screens with odd primes up to this.
 SIGMA_SCREEN_BOUND = 1 << 16
-TABLE_BYTES_MAX = 1 << 28  # bytes: _prime_table (2*rows*(x+1)//2)
+TABLE_BYTES_MAX = 1 << 27  # bytes: _prime_table (rows*(x+1)//2)
 GAUSS_POINTS = 20  # Gauss-Legendre nodes per I_quadrature panel
 
 
@@ -120,9 +121,9 @@ class CensusReport:
 
 def _prime_table(x, epsilon, allow_probable=True, verdicts=None):
     """(prime, probable) over m = 1..floor(epsilon*log2(x)) and odd k <= x:
-    prime[m-1, j] when 2^m*(2j+1) - 1 counts as prime, probable when only
-    as a probable prime.  The verdicts of the survivors tested past
-    TABLE_SIEVE_BOUND^2 go into the dict verdicts, if given, by value.
+    prime[m-1, j] when 2^m*(2j+1) - 1 counts as prime; probable lists the
+    (m-1, j) counted only as probable primes.  Survivors tested past
+    TABLE_SIEVE_BOUND^2 leave their verdicts in the dict verdicts, by value.
 
     2^m*k - 1 = 0 (mod p) exactly when k = 2^-m (mod p), so row m crosses
     those k out for every odd prime p <= min(isqrt(2^m*x), TABLE_SIEVE_BOUND)
@@ -132,11 +133,11 @@ def _prime_table(x, epsilon, allow_probable=True, verdicts=None):
     rows = arith.max_m_leq(epsilon, x)  # >= max_m_lt(epsilon, x): N's window
     verdicts = {} if verdicts is None else verdicts
     nk = (x + 1) // 2
-    if 2 * rows * nk > TABLE_BYTES_MAX:
-        raise DomainError(f"census table for x = {x} needs {2 * rows * nk} "
+    if rows * nk > TABLE_BYTES_MAX:
+        raise DomainError(f"census table for x = {x} needs {rows * nk} "
                           f"bytes, over the budget of {TABLE_BYTES_MAX}")
     prime = np.ones((rows, nk), dtype=bool)
-    probable = np.zeros((rows, nk), dtype=bool)
+    probable = []
     prime[:1, :1] = False  # 2*1 - 1 = 1
     top = min(math.isqrt(x << rows), TABLE_SIEVE_BOUND)
     primes = np.flatnonzero(_prime_flags(top))[1:]
@@ -161,32 +162,24 @@ def _prime_table(x, epsilon, allow_probable=True, verdicts=None):
                 n = ((2 * i + 1) << m) - 1
                 r = verdicts[n] = arith.is_prime(n)
                 row[i] = r.counts(allow_probable)
-                probable[m - 1, i] = row[i] and not r.is_certified
+                if row[i] and not r.is_certified:
+                    probable.append((m - 1, i))
     return prime, probable
 
 
 def _m_window(prime, probable, epsilon, x):
     """(flag per odd k <= x, certified): some counted prime 2^m*k - 1 has
-    m <= epsilon*log2(k), a bound nondecreasing in k; certified unless the
-    first such prime of some k is only probable."""
+    m <= epsilon*log2(k), a bound nondecreasing in k, so row m's window
+    is the k from its first one on; certified unless the first prime of
+    some k lies in its window and is only probable."""
     firsts = [
-        bisect_left(range(1, x + 1), m, key=lambda k: arith.max_m_leq(epsilon, k)) + 1
+        bisect_left(range(1, x + 1, 2), m, key=lambda k: arith.max_m_leq(epsilon, k))
         for m in range(1, len(prime) + 1)
     ]
-    hits = prime & (np.arange(1, x + 1, 2) >= np.array(firsts)[:, None])
-    ok = hits.any(axis=0)
-    cols = np.flatnonzero(ok)
-    first = hits[:, cols].argmax(axis=0) if cols.size else cols
-    return ok, not probable[first, cols].any()
-
-
-def _n_window(prime, probable, epsilon, x):
-    """(N, certified): the odd k <= x with a counted prime 2^m*k - 1 for
-    some m < epsilon*log2(x); certified unless some such k has only
-    probable primes there."""
-    rows = slice(arith.max_m_lt(epsilon, x))
-    hit = prime[rows].any(axis=0)
-    return int(hit.sum()), bool(((prime & ~probable)[rows].any(axis=0) == hit).all())
+    flags = np.zeros(prime.shape[1], dtype=bool)
+    for row, first in zip(prime, firsts):
+        flags[first:] |= row[first:]
+    return flags, not any(c >= firsts[r] and not prime[:r, c].any() for r, c in probable)
 
 
 def _closure_count(flags, x):
@@ -213,8 +206,9 @@ def _progression_primes(l, x, screen, verdicts, allow_probable=True):
     identity's second route.
 
     Each odd prime p <= isqrt(2^l*x) of screen, the odd primes up to
-    SIGMA_SCREEN_BOUND, strikes out every k = 2j + 1 = 2^-l (mod p), all p
-    through one index j + rank*p, sparing the k whose value is p.  Below
+    SIGMA_SCREEN_BOUND, strikes out every k = 2j + 1 = 2^-l (mod p) but
+    the one whose value is p: by a strided slice if p is below the number
+    of k, else at its one k, all such p in one index.  Below
     about 2^32 (isqrt(2^l*x) within the bound) the survivors are the
     primes; past it each one takes its verdict from the dict verdicts, if
     there, else from arith.is_prime, unstored.
@@ -222,8 +216,8 @@ def _progression_primes(l, x, screen, verdicts, allow_probable=True):
     The route shares no sieve or indexing with _prime_table, so that a
     fault in the sieve or indexing of either shows as a disagreement: its
     primes come from arith's bytearray sieve, not _prime_flags; each row
-    raises (p + 1)/2 to the l-th power, with no inverse carried over; every
-    p strides, with no large-prime branch.  Its primality tests are not
+    raises (p + 1)/2 to the l-th power, with no inverse carried over, and
+    spots p's own k from the low bits of p + 1.  Its primality tests are not
     independent: from 2^32 to 2^40 they face the table's sieve, but past
     2^40 density_report passes the table's own verdicts, and most survivors
     read theirs there, so a fault in arith's test shows in neither.
@@ -237,9 +231,10 @@ def _progression_primes(l, x, screen, verdicts, allow_probable=True):
         inv = inv * inv % p * half ** int(bit) % p
     j = (inv - 1) * half % p  # k = 2j + 1 = 2^-l (mod p)
     j += p * (((p + 1) & -(p + 1)) >> l == 1)  # p + 1 = 2^l*odd: skip p's own k
-    count = np.maximum(keep.size - j + p - 1, 0) // p
-    rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    keep[np.repeat(j, count) + np.repeat(p, count) * rank] = False
+    small = p < keep.size  # each larger p strikes at most its one k
+    for start, step in zip(j[small].tolist(), p[small].tolist()):
+        keep[start::step] = False
+    keep[j[~small & (j < keep.size)]] = False
     if root > SIGMA_SCREEN_BOUND:
         for j in np.flatnonzero(keep).tolist():
             n = ((2 * j + 1) << l) - 1
@@ -442,7 +437,7 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     s_sum = int(S.sum())
     s_sq = int((S * S).sum())
     flags_m, cert_m = _m_window(prime, probable, epsilon, x)
-    n_count, cert_n = _n_window(prime, probable, epsilon, x)
+    n_rows = arith.max_m_lt(epsilon, x)  # N's window: m < epsilon*log2(x)
     m_count = int(flags_m.sum())
     cs = Fraction(s_sum * s_sum, s_sq) if s_sq else Fraction(0)
     return CensusReport(
@@ -450,12 +445,16 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
         sigma=s_sum,
         pi_terms=tuple(terms),
         sum_S_squared=s_sq,
-        N=n_count,
+        N=int(prime[:n_rows].any(axis=0).sum()),
         M=m_count,
         M_prime=_closure_count(flags_m, x),
         H_lower=1 + m_count,
         cs_lower_bound=cs,
         upper_curve=2 * x * math.log2(1 + float(epsilon)),
-        certified=not probable[:L].any() and cert_m and cert_n,
+        # N's rows end at most one row past sigma's, the rows below L: so
+        # once no probable prime lies below L, a k that N counts only
+        # through probable primes has one with no prime before it.
+        certified=cert_m and not any(
+            r < L or (r < n_rows and not prime[:r, c].any()) for r, c in probable),
         degenerate_flags=() if s_sq else ("cs_lower_bound_zero_denominator",),
     )

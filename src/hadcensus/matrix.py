@@ -159,7 +159,7 @@ def read_matrix(path) -> PlusMinusMatrix:
     """Parse a `.pm` file front to back; raises PmParseError naming the line of
     the first fault, the row count and trailing newline checked before rows."""
     with open(path, "rb") as fh:
-        header = fh.readline()
+        header = fh.readline(19)  # 18 digits and a newline; more is a bad header
         order = header.removesuffix(b"\n")
         if not order:
             raise PmParseError("missing order header", 1)

@@ -657,7 +657,7 @@ class TestCensusTable:
 
     def test_census_asks_no_value_twice(self, monkeypatch):
         # past 2^40 the second route re-reads the table's verdicts rather
-        # than asking arith again (ROADMAP open item 2)
+        # than asking arith again
         asked = Counter()
         is_prime = arith.is_prime
 
@@ -759,8 +759,8 @@ class TestCensusTable:
             density_report(x, eps)
 
     def test_table_budget(self, monkeypatch):
-        def table_bytes(x, eps):
-            return 2 * arith.max_m_leq(Fraction(eps), x) * ((x + 1) // 2)
+        def table_bytes(x, eps):  # one bool per row and odd k: the one table
+            return arith.max_m_leq(Fraction(eps), x) * ((x + 1) // 2)
 
         # the benchmark's census sizes stay far below the budget
         for x, eps in ((10**5 + 1000, 1), (10**4 + 1000, 5)):
@@ -772,3 +772,35 @@ class TestCensusTable:
             density_report(10**9, 1)
         with pytest.raises(DomainError, match="over the budget"):
             census._prime_table(10**9, 1)
+        # the budget is exact: 9 rows of 500 odd k take 4 500 bytes
+        assert table_bytes(1000, 1) == 4500
+        monkeypatch.setattr(census, "TABLE_BYTES_MAX", 4500)
+        assert census._prime_table(1000, 1)[0].nbytes == 4500
+        monkeypatch.setattr(census, "TABLE_BYTES_MAX", 4499)
+        with pytest.raises(DomainError, match="^census table for x = 1000 needs 4500 "
+                                              "bytes, over the budget of 4499$"):
+            census._prime_table(1000, 1)
+
+    def test_m_window_holds_no_table_sized_array(self):
+        # (10^5, 1): 16 rows of 50 000 odd k, 0.8 MB; M's flags take 50 KB
+        prime, probable = census._prime_table(10**5, 1)
+        tracemalloc.start()
+        try:
+            census._m_window(prime, probable, Fraction(1), 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < prime.nbytes // 4
+
+    def test_progression_route_holds_no_strike_index(self):
+        # 5 800 screening primes over 50 000 odd k: an index of every strike
+        # would hold about 100 000 int64 entries
+        screen = np.array(arith._sieve_upto(census.SIGMA_SCREEN_BOUND)[1:])
+        tracemalloc.start()
+        try:
+            keep = census._progression_primes(15, 10**5, screen, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(keep) == pi_count(10**5 << 15, 1 << 16, (1 << 15) - 1)
+        assert peak < 1 << 20

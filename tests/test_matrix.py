@@ -327,7 +327,7 @@ def reference_read(data):
     if not header:
         raise PmParseError("missing order header", 1)
     if not header.isdigit() or len(header) > 18:  # int() refuses 4301 digits
-        raise PmParseError(f"bad order header {repr(header)[1:]}", 1)  # drop repr's b
+        raise PmParseError(f"bad order header {repr(header[:19])[1:]}", 1)  # drop repr's b
     n = int(header)
     if n < 1:
         raise PmParseError("order must be positive", 1)
@@ -414,12 +414,13 @@ def feed(w, data):
 
 
 @pytest.mark.parametrize("op", ["read", "write", "read a bad entry", "read a pipe",
-                                "read no newlines"])
+                                "read no newlines", "read a long first line"])
 def test_pm_io_memory(tmp_path, op):
     # Order 4096: the packed rows take n^2/8 = 2.1 MB, the text 16.8 MB.  A
     # reader that held the whole file, or a writer that built it whole,
     # would pass 8 MB; so would a reader that held a pipe whole, re-read a
-    # refused file whole, or carried a line without newlines whole.
+    # refused file whole, or carried a line without newlines whole, header
+    # or row.
     S = construct.sylvester(12)
     path = tmp_path / "s.pm"
     write_matrix(S, path)
@@ -431,6 +432,9 @@ def test_pm_io_memory(tmp_path, op):
     if op == "read no newlines":  # the header, then one 16.8 MB line
         path.write_bytes(b"4096\n" + data[5:].replace(b"\n", b""))
         expected = (2, "line 2: expected 4096 rows plus trailing newline")
+    if op == "read a long first line":  # no header: the body as one 16.8 MB line
+        path.write_bytes(data[5:].replace(b"\n", b""))
+        expected = (1, f"line 1: bad order header '{'+' * 19}'")
     if op == "read a pipe":  # far more than a pipe's buffer, so a thread writes it
         r, w = os.pipe()
         source = f"/dev/fd/{r}"
