@@ -10,14 +10,14 @@ sandwich.  Exponent-window edges are decided in exact rational arithmetic
 A census, density_report, sieves one table of prime flags for 2^m*k - 1
 (_prime_table), its one table-sized array; S, sum S^2, N, M, M' and the
 certified flag reduce it and its short list of probable primes.  The sigma
-identity checks it row by row against one second route, _progression_primes:
-a screen of the progression by the primes to SIGMA_SCREEN_BOUND, exact below
-2^32 and primality-tested past it, sharing no prime list, inverse or strike
-code with the table.  Past 2^40, where the table tests its survivors too,
-route 2 re-reads the table's verdicts from a dict the census keeps, keyed by
-value: the check covers the table's sieve and indexing, not arith's
-primality test, which would cost every such value a second test.  The
-first k whose flags differ names the fault.  pi_count sieves
+identity checks it row by row against one second route, _progression_primes,
+a screen sharing no prime list, inverse or strike code with the table.  Both
+sieve with the odd primes to max(SIEVE_BOUND, x), exact on each row whose
+values stay within that bound's square, as all do at epsilon <= 1.  Past
+it the table tests its survivors, and route 2 re-reads their verdicts from
+the census's dict, keyed by value: the check covers the sieves and indexing
+there, not arith's primality test (test_arith does).  The first k whose
+flags differ names the fault.  pi_count sieves
 only the odd members of its class, psi's smallest-prime-factor route only
 the members of its own; psi's other route reads pi's sieve, checking it,
 and the two share no table.
@@ -49,11 +49,9 @@ PI_MAX_X = 10**11
 # at x = 10^7 it peaks at 18.6 bytes per integer for q = 1, 4.25 for q = 4
 PSI_MAX_X = 10**8
 PSI_REL_TOL = 1e-9  # psi's two routes agree to this, relative to the larger
-# Census table rows sieve with odd primes up to this; past its square,
-# their survivors are tested one by one.
-TABLE_SIEVE_BOUND = 1 << 20
-# The sigma check's second route screens with odd primes up to this.
-SIGMA_SCREEN_BOUND = 1 << 16
+# Both census routes sieve with the odd primes up to max(SIEVE_BOUND, x);
+# a row whose values pass that bound's square tests its survivors.
+SIEVE_BOUND = 1 << 17
 TABLE_BYTES_MAX = 1 << 27  # bytes: _prime_table (rows*(x+1)//2)
 GAUSS_POINTS = 20  # Gauss-Legendre nodes per I_quadrature panel
 
@@ -122,13 +120,14 @@ class CensusReport:
 def _prime_table(x, epsilon, allow_probable=True, verdicts=None):
     """(prime, probable) over m = 1..floor(epsilon*log2(x)) and odd k <= x:
     prime[m-1, j] when 2^m*(2j+1) - 1 counts as prime; probable lists the
-    (m-1, j) counted only as probable primes.  Survivors tested past
-    TABLE_SIEVE_BOUND^2 leave their verdicts in the dict verdicts, by value.
+    (m-1, j) counted only as probable primes.
 
     2^m*k - 1 = 0 (mod p) exactly when k = 2^-m (mod p), so row m crosses
-    those k out for every odd prime p <= min(isqrt(2^m*x), TABLE_SIEVE_BOUND)
-    but spares the entry equal to p.  Primes below the number of k stride
-    through the row; each larger one hits at most one k, all in one step.
+    those k out for every odd prime p <= min(isqrt(2^m*x), bound) but spares
+    the entry equal to p, bound = max(SIEVE_BOUND, x).  Primes below the
+    number of k stride through the row; each larger one hits at most one k,
+    all in one step.  Past bound^2 the survivors are tested, their verdicts
+    left in the dict verdicts by value.
     """
     rows = arith.max_m_leq(epsilon, x)  # >= max_m_lt(epsilon, x): N's window
     verdicts = {} if verdicts is None else verdicts
@@ -139,7 +138,8 @@ def _prime_table(x, epsilon, allow_probable=True, verdicts=None):
     prime = np.ones((rows, nk), dtype=bool)
     probable = []
     prime[:1, :1] = False  # 2*1 - 1 = 1
-    top = min(math.isqrt(x << rows), TABLE_SIEVE_BOUND)
+    bound = max(SIEVE_BOUND, x)
+    top = min(math.isqrt(x << rows), bound)
     primes = np.flatnonzero(_prime_flags(top))[1:]
     half = (primes + 1) // 2  # 2^-1 mod p
     inv = np.ones_like(primes)
@@ -149,7 +149,7 @@ def _prime_table(x, epsilon, allow_probable=True, verdicts=None):
         p = primes[: np.searchsorted(primes, root, side="right")]
         j = (inv[: p.size] - 1) * half[: p.size] % p  # k = 2j + 1 = 2^-m (mod p)
         # 2^m*k - 1 = p needs 2^m <= p + 1, so the shift cannot overflow
-        own = ((2 * j + 1) << min(m, TABLE_SIEVE_BOUND.bit_length())) == p + 1
+        own = ((2 * j + 1) << min(m, bound.bit_length())) == p + 1
         j += p * own
         row = prime[m - 1]
         small = int(np.searchsorted(p, nk))
@@ -157,7 +157,7 @@ def _prime_table(x, epsilon, allow_probable=True, verdicts=None):
             row[start::step] = False
         large = j[small:]
         row[large[large < nk]] = False
-        if root > TABLE_SIEVE_BOUND:  # survivors may still be composite
+        if root > bound:  # survivors may still be composite
             for i in np.flatnonzero(row).tolist():
                 n = ((2 * i + 1) << m) - 1
                 r = verdicts[n] = arith.is_prime(n)
@@ -205,22 +205,20 @@ def _progression_primes(l, x, screen, verdicts, allow_probable=True):
     the primes p <= 2^l*x with p = 2^l - 1 (mod 2^(l+1)), the sigma
     identity's second route.
 
-    Each odd prime p <= isqrt(2^l*x) of screen, the odd primes up to
-    SIGMA_SCREEN_BOUND, strikes out every k = 2j + 1 = 2^-l (mod p) but
-    the one whose value is p: by a strided slice if p is below the number
-    of k, else at its one k, all such p in one index.  Below
-    about 2^32 (isqrt(2^l*x) within the bound) the survivors are the
-    primes; past it each one takes its verdict from the dict verdicts, if
-    there, else from arith.is_prime, unstored.
+    Each odd prime p <= isqrt(2^l*x) of screen, the odd primes to at least
+    min(that root, bound = max(SIEVE_BOUND, x)), strikes out every k = 2j + 1
+    = 2^-l (mod p) but the one whose value is p: by a strided slice if p is
+    below the number of k, else at its one k, all in one index.  Within
+    bound^2 the survivors are the primes; past it each reads its verdict
+    from the dict verdicts, else from arith.is_prime, unstored.
 
     The route shares no sieve or indexing with _prime_table, so that a
     fault in the sieve or indexing of either shows as a disagreement: its
     primes come from arith's bytearray sieve, not _prime_flags; each row
     raises (p + 1)/2 to the l-th power, with no inverse carried over, and
-    spots p's own k from the low bits of p + 1.  Its primality tests are not
-    independent: from 2^32 to 2^40 they face the table's sieve, but past
-    2^40 density_report passes the table's own verdicts, and most survivors
-    read theirs there, so a fault in arith's test shows in neither.
+    spots p's own k from the low bits of p + 1.  Past bound^2 the check is
+    sieve against sieve, then the table's verdicts re-read by value: a fault
+    in arith's test shows in neither route, and tests/test_arith.py covers it.
     """
     keep = np.ones((x + 1) // 2, dtype=bool)
     keep[:1] = l > 1  # 2*1 - 1 = 1
@@ -235,7 +233,7 @@ def _progression_primes(l, x, screen, verdicts, allow_probable=True):
     for start, step in zip(j[small].tolist(), p[small].tolist()):
         keep[start::step] = False
     keep[j[~small & (j < keep.size)]] = False
-    if root > SIGMA_SCREEN_BOUND:
+    if root > max(SIEVE_BOUND, x):  # the screen stops short of root
         for j in np.flatnonzero(keep).tolist():
             n = ((2 * j + 1) << l) - 1
             r = verdicts[n] if n in verdicts else arith.is_prime(n)
@@ -424,7 +422,9 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
         raise WindowError(f"empty window: L = {L} for x = {x}, epsilon = {epsilon}")
     verdicts = {}  # the table's, re-read by the second route
     prime, probable = _prime_table(x, epsilon, allow_probable, verdicts)
-    screen = np.array(arith._sieve_upto(SIGMA_SCREEN_BOUND)[1:])  # odd primes
+    # route 2's odd primes, to the largest root any of its rows needs
+    screen = arith._sieve_upto(min(max(SIEVE_BOUND, x), math.isqrt(x << L)))
+    screen = np.array(screen[1:], dtype=np.int64)
     terms = []
     for l, row in enumerate(prime[:L], 1):
         keep = _progression_primes(l, x, screen, verdicts, allow_probable)
@@ -433,9 +433,9 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
             raise SelfCheckError(
                 f"sigma identity violated at l = {l}: k = {2 * wrong[0] + 1}")
         terms.append((l, int(np.count_nonzero(keep))))
-    S = prime[:L].sum(axis=0)
-    s_sum = int(S.sum())
-    s_sq = int((S * S).sum())
+    counts = np.bincount(prime[:L].sum(axis=0, dtype=np.min_scalar_type(L)))
+    s = np.arange(counts.size)  # counts[s]: the odd k with S(k, L) = s
+    s_sum, s_sq = int(counts @ s), int(counts @ (s * s))
     flags_m, cert_m = _m_window(prime, probable, epsilon, x)
     n_rows = arith.max_m_lt(epsilon, x)  # N's window: m < epsilon*log2(x)
     m_count = int(flags_m.sum())

@@ -122,12 +122,16 @@ class TestSigma:
     def test_progression_route_against_sieve(self, monkeypatch):
         # the second route serves every row of a census; small x and l reach
         # the values that equal a screening prime.  At the default bound
-        # every row here is exact; at 2^5, rows whose values pass 33^2 test
-        # their survivors one by one.
-        for bound in (census.SIGMA_SCREEN_BOUND, 2**5):
-            monkeypatch.setattr(census, "SIGMA_SCREEN_BOUND", bound)
-            screen = np.array([p for p in range(3, bound + 1, 2) if trial_division_prime(p)])
+        # every row here is exact; at 2^5, rows whose values pass
+        # max(2^5, x)^2 test their survivors one by one.  The route takes a
+        # row as exact when its root is within max(bound, x), so the screen
+        # reaches that far.
+        for bound in (census.SIEVE_BOUND, 2**5):
+            monkeypatch.setattr(census, "SIEVE_BOUND", bound)
+            primes = np.array([p for p in range(3, max(bound, 1001) + 1, 2)
+                               if trial_division_prime(p)])
             for x in (1, 2, 5, 100, 1001):
+                screen = primes[primes <= max(bound, x)]
                 for l in range(1, 12):
                     keep = census._progression_primes(l, x, screen, {})
                     assert np.count_nonzero(keep) == \
@@ -605,18 +609,19 @@ def _brute_census(x, eps, allow_probable):
 
 class TestCensusTable:
     # (2100, 5): the window reaches m = 55, so 2^m*k - 1 passes 2^64 and
-    # rows from m = 29 on reach past TABLE_SIEVE_BOUND^2; row 29 straddles
+    # rows from m = 23 on reach past SIEVE_BOUND^2 = 2^34; row 23 straddles
     # it (k <= 2047 lies below, k >= 2049 above).
     # (800, 6): the first window prime of k = 763 is 2^55*763 - 1, a probable
     # prime, so M's certified flag turns on the first prime of a window.
     # (837, 17/3): N's window is m = 1..55, one row past L = 54, and k = 763
     # has only the probable prime 2^55*763 - 1 there, which M leaves out
     # (55 > (17/3)*log2(763)); so N's window clears the certified flag.
+    # (3, 163): L = 257 rows, so S(k, L) needs two bytes.
     GRID = [(2, 2), (4, 2), (100, Fraction(1, 2)), (300, 1), (500, Fraction(3, 2)),
-            (800, 6), (837, Fraction(17, 3)), (2100, 5)]
+            (800, 6), (837, Fraction(17, 3)), (3, 163), (2100, 5)]
 
     def test_grid_covers_the_hard_cases(self):
-        B = census.TABLE_SIEVE_BOUND
+        B = census.SIEVE_BOUND
         x, eps = self.GRID[-1]
         rows = arith.max_m_leq(eps, x)
         assert (x << rows) > 2**64
@@ -644,8 +649,8 @@ class TestCensusTable:
             assert getattr(report, field) == value, field
 
     def test_no_verdict_outlives_the_census(self):
-        # (837, 17/3) tests values past 2^40 in both routes; its verdicts,
-        # or a table of flags to TABLE_SIEVE_BOUND, kept past the call would
+        # (837, 17/3) tests values past SIEVE_BOUND^2; its verdicts, or a
+        # table of flags to SIEVE_BOUND, kept past the call would
         # take more than 1 MB.  (9 991, 5) takes 14 s under tracemalloc.
         tracemalloc.start()
         try:
@@ -656,8 +661,8 @@ class TestCensusTable:
         assert kept < 100_000
 
     def test_census_asks_no_value_twice(self, monkeypatch):
-        # past 2^40 the second route re-reads the table's verdicts rather
-        # than asking arith again
+        # the table asks arith once per survivor past SIEVE_BOUND^2, and the
+        # second route re-reads those verdicts rather than asking again
         asked = Counter()
         is_prime = arith.is_prime
 
@@ -669,10 +674,38 @@ class TestCensusTable:
         density_report(9991, 5)
         assert asked and max(asked.values()) == 1
 
+    @pytest.mark.parametrize("x,eps", [(2100, 5), (837, Fraction(17, 3))])
+    def test_second_route_asks_arith_nothing(self, monkeypatch, x, eps):
+        # both routes sieve to the same bound, so route 2's survivors past
+        # its square are the table's, whose verdicts it re-reads
+        asked = []
+        is_prime, route = arith.is_prime, census._progression_primes
+
+        def counted_route(*args, **kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(arith, "is_prime", lambda n: asked.append(n) or is_prime(n))
+                return route(*args, **kwargs)
+
+        monkeypatch.setattr(census, "_progression_primes", counted_route)
+        density_report(x, eps)
+        assert asked == []
+
+    def test_census_past_the_sieve_floor_tests_nothing(self, monkeypatch):
+        # at epsilon = 1 and x > SIEVE_BOUND the bound is x, and every row's
+        # values 2^m*k - 1 < 2^m*x stay within x^2 (2^m <= x): both routes
+        # are sieves
+        asked = []
+        is_prime = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda n: asked.append(n) or is_prime(n))
+        density_report(131073, 1)
+        assert asked == []
+        assert census.SIEVE_BOUND < 131073
+
     def test_composites_past_the_sieve_bound_are_rejected(self):
-        # 2^m*k - 1 = p*q with both factors above TABLE_SIEVE_BOUND: the
-        # sieve cannot cross these out, only the survivor test can
-        B = census.TABLE_SIEVE_BOUND
+        # 2^m*k - 1 = p*q with both factors above the sieve bound (here
+        # SIEVE_BOUND > x): the sieve cannot cross these out, only the
+        # survivor test can
+        B = census.SIEVE_BOUND
         cases = [(30, 2583, 1939169, 1430239), (30, 2657, 1234241, 2311487),
                  (31, 1485, 1357009, 2350031), (31, 1531, 1598827, 2056381)]
         prime, _ = census._prime_table(2657, 3)
@@ -795,7 +828,7 @@ class TestCensusTable:
     def test_progression_route_holds_no_strike_index(self):
         # 5 800 screening primes over 50 000 odd k: an index of every strike
         # would hold about 100 000 int64 entries
-        screen = np.array(arith._sieve_upto(census.SIGMA_SCREEN_BOUND)[1:])
+        screen = np.array(arith._sieve_upto(census.SIEVE_BOUND)[1:])
         tracemalloc.start()
         try:
             keep = census._progression_primes(15, 10**5, screen, {})
