@@ -7,17 +7,16 @@ closed form and by Gauss-Legendre quadrature, with its Riemann-sum
 sandwich.  Exponent-window edges are decided in exact rational arithmetic
 (see arith.max_m_leq / max_m_lt).
 
-A census, density_report, sieves one table of prime flags for 2^m*k - 1
-(_prime_table), its one table-sized array; S, sum S^2, N, M, M' and the
-certified flag reduce it and its short list of probable primes.  The sigma
-identity checks it row by row against one second route, _progression_primes,
-a screen sharing no prime list, inverse or strike code with the table.  Both
-sieve with the odd primes to max(SIEVE_BOUND, x), exact on each row whose
-values stay within that bound's square, as all do at epsilon <= 1.  Past
-it the table tests its survivors, and route 2 re-reads their verdicts from
-the census's dict, keyed by value: the check covers the sieves and indexing
-there, not arith's primality test (test_arith does).  The first k whose
-flags differ names the fault.  pi_count sieves
+A census, density_report, sieves one table of flags for 2^m*k - 1
+(_prime_table), its one table-sized array, and checks it row by row, by the
+sigma identity, against a second sieve, _progression_primes, that shares no
+prime list, inverse or strike code with it.  Both sieve with the odd primes
+to max(SIEVE_BOUND, x), exact on each row whose values stay within that
+bound's square, as all do at epsilon <= 1; past it they are compared
+survivor by survivor, and only then does _test_survivors test each survivor
+once.  The first k whose flags differ names the fault; arith's test is
+covered by test_arith.  S, sum S^2, N, M, M' and the certified flag reduce
+the tested table and its short list of probable primes.  pi_count sieves
 only the odd members of its class, psi's smallest-prime-factor route only
 the members of its own; psi's other route reads pi's sieve, checking it,
 and the two share no table.
@@ -117,26 +116,23 @@ class CensusReport:
 # --- the census table -------------------------------------------------------
 
 
-def _prime_table(x, epsilon, allow_probable=True, verdicts=None):
-    """(prime, probable) over m = 1..floor(epsilon*log2(x)) and odd k <= x:
-    prime[m-1, j] when 2^m*(2j+1) - 1 counts as prime; probable lists the
-    (m-1, j) counted only as probable primes.
+def _prime_table(x, epsilon):
+    """prime[m-1, j] for m = 1..floor(epsilon*log2(x)) and odd k = 2j + 1 <= x
+    unless an odd prime p <= min(isqrt(2^m*x), bound) divides 2^m*k - 1 other
+    than as itself, bound = max(SIEVE_BOUND, x): the primes in each row whose
+    values stay within bound^2, the sieve's survivors in the rows past it.
 
     2^m*k - 1 = 0 (mod p) exactly when k = 2^-m (mod p), so row m crosses
-    those k out for every odd prime p <= min(isqrt(2^m*x), bound) but spares
-    the entry equal to p, bound = max(SIEVE_BOUND, x).  Primes below the
-    number of k stride through the row; each larger one hits at most one k,
-    all in one step.  Past bound^2 the survivors are tested, their verdicts
-    left in the dict verdicts by value.
+    those k out but spares the entry equal to p.  Primes below the number of
+    k stride through the row; each larger one hits at most one k, all in one
+    step.
     """
     rows = arith.max_m_leq(epsilon, x)  # >= max_m_lt(epsilon, x): N's window
-    verdicts = {} if verdicts is None else verdicts
     nk = (x + 1) // 2
     if rows * nk > TABLE_BYTES_MAX:
         raise DomainError(f"census table for x = {x} needs {rows * nk} "
                           f"bytes, over the budget of {TABLE_BYTES_MAX}")
     prime = np.ones((rows, nk), dtype=bool)
-    probable = []
     prime[:1, :1] = False  # 2*1 - 1 = 1
     bound = max(SIEVE_BOUND, x)
     top = min(math.isqrt(x << rows), bound)
@@ -145,8 +141,7 @@ def _prime_table(x, epsilon, allow_probable=True, verdicts=None):
     inv = np.ones_like(primes)
     for m in range(1, rows + 1):
         inv = inv * half % primes  # 2^-m mod p
-        root = math.isqrt(x << m)
-        p = primes[: np.searchsorted(primes, root, side="right")]
+        p = primes[: np.searchsorted(primes, math.isqrt(x << m), side="right")]
         j = (inv[: p.size] - 1) * half[: p.size] % p  # k = 2j + 1 = 2^-m (mod p)
         # 2^m*k - 1 = p needs 2^m <= p + 1, so the shift cannot overflow
         own = ((2 * j + 1) << min(m, bound.bit_length())) == p + 1
@@ -157,14 +152,22 @@ def _prime_table(x, epsilon, allow_probable=True, verdicts=None):
             row[start::step] = False
         large = j[small:]
         row[large[large < nk]] = False
-        if root > bound:  # survivors may still be composite
-            for i in np.flatnonzero(row).tolist():
-                n = ((2 * i + 1) << m) - 1
-                r = verdicts[n] = arith.is_prime(n)
-                row[i] = r.counts(allow_probable)
-                if row[i] and not r.is_certified:
-                    probable.append((m - 1, i))
-    return prime, probable
+    return prime
+
+
+def _test_survivors(prime, x, allow_probable):
+    """Test each sieve survivor of the rows of prime whose values pass
+    max(SIEVE_BOUND, x)^2, once, keeping the ones that count as prime;
+    returns the (m-1, j) counted only as probable primes."""
+    probable = []
+    for m, row in enumerate(prime, 1):
+        if math.isqrt(x << m) > max(SIEVE_BOUND, x):
+            for j in np.flatnonzero(row).tolist():
+                r = arith.is_prime(((2 * j + 1) << m) - 1)
+                row[j] = r.counts(allow_probable)
+                if row[j] and not r.is_certified:
+                    probable.append((m - 1, j))
+    return probable
 
 
 def _m_window(prime, probable, epsilon, x):
@@ -200,30 +203,28 @@ def _closure_count(flags, x):
 # --- the sigma identity's second route ----------------------------------------
 
 
-def _progression_primes(l, x, screen, verdicts, allow_probable=True):
-    """keep[j] when 2^l*(2j + 1) - 1 counts as prime, for odd 2j + 1 <= x:
-    the primes p <= 2^l*x with p = 2^l - 1 (mod 2^(l+1)), the sigma
-    identity's second route.
-
-    Each odd prime p <= isqrt(2^l*x) of screen, the odd primes to at least
-    min(that root, bound = max(SIEVE_BOUND, x)), strikes out every k = 2j + 1
-    = 2^-l (mod p) but the one whose value is p: by a strided slice if p is
-    below the number of k, else at its one k, all in one index.  Within
-    bound^2 the survivors are the primes; past it each reads its verdict
-    from the dict verdicts, else from arith.is_prime, unstored.
+def _progression_primes(l, x, screen):
+    """keep[j] for odd 2j + 1 <= x unless an odd prime p <= isqrt(2^l*x) of
+    screen divides 2^l*(2j + 1) - 1 other than as itself: a sieve of the
+    p <= 2^l*x with p = 2^l - 1 (mod 2^(l+1)), the sigma identity's second
+    route.  screen holds the odd primes to at least min(that root, bound =
+    max(SIEVE_BOUND, x)), so keep is those primes while the root is within
+    bound, and the same survivors as the table's row l past it.  Each p
+    strikes out every k = 2j + 1 = 2^-l (mod p) but the one whose value is
+    p: by a strided slice if p is below the number of k, else at its one k,
+    all in one index.
 
     The route shares no sieve or indexing with _prime_table, so that a
     fault in the sieve or indexing of either shows as a disagreement: its
     primes come from arith's bytearray sieve, not _prime_flags; each row
     raises (p + 1)/2 to the l-th power, with no inverse carried over, and
-    spots p's own k from the low bits of p + 1.  Past bound^2 the check is
-    sieve against sieve, then the table's verdicts re-read by value: a fault
-    in arith's test shows in neither route, and tests/test_arith.py covers it.
+    spots p's own k from the low bits of p + 1.  density_report compares
+    the two before any survivor is tested, so past bound^2 too the check is
+    sieve against sieve; arith's test is covered by tests/test_arith.py.
     """
     keep = np.ones((x + 1) // 2, dtype=bool)
     keep[:1] = l > 1  # 2*1 - 1 = 1
-    root = math.isqrt(x << l)
-    p = screen[: np.searchsorted(screen, root, side="right")]
+    p = screen[: np.searchsorted(screen, math.isqrt(x << l), side="right")]
     half, inv = (p + 1) // 2, np.ones_like(p)  # 2^-1 and 2^-0 (mod p)
     for bit in bin(l)[2:]:  # inv = half^l by square and multiply
         inv = inv * inv % p * half ** int(bit) % p
@@ -233,11 +234,6 @@ def _progression_primes(l, x, screen, verdicts, allow_probable=True):
     for start, step in zip(j[small].tolist(), p[small].tolist()):
         keep[start::step] = False
     keep[j[~small & (j < keep.size)]] = False
-    if root > max(SIEVE_BOUND, x):  # the screen stops short of root
-        for j in np.flatnonzero(keep).tolist():
-            n = ((2 * j + 1) << l) - 1
-            r = verdicts[n] if n in verdicts else arith.is_prime(n)
-            keep[j] = r.counts(allow_probable)
     return keep
 
 
@@ -420,22 +416,22 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     L = arith.max_m_leq(epsilon, x) - 1
     if L < 1:
         raise WindowError(f"empty window: L = {L} for x = {x}, epsilon = {epsilon}")
-    verdicts = {}  # the table's, re-read by the second route
-    prime, probable = _prime_table(x, epsilon, allow_probable, verdicts)
+    prime = _prime_table(x, epsilon)
     # route 2's odd primes, to the largest root any of its rows needs
     screen = arith._sieve_upto(min(max(SIEVE_BOUND, x), math.isqrt(x << L)))
     screen = np.array(screen[1:], dtype=np.int64)
-    terms = []
     for l, row in enumerate(prime[:L], 1):
-        keep = _progression_primes(l, x, screen, verdicts, allow_probable)
-        wrong = np.flatnonzero(row != keep)
+        wrong = np.flatnonzero(row != _progression_primes(l, x, screen))
         if wrong.size:
             raise SelfCheckError(
                 f"sigma identity violated at l = {l}: k = {2 * wrong[0] + 1}")
-        terms.append((l, int(np.count_nonzero(keep))))
-    counts = np.bincount(prime[:L].sum(axis=0, dtype=np.min_scalar_type(L)))
-    s = np.arange(counts.size)  # counts[s]: the odd k with S(k, L) = s
-    s_sum, s_sq = int(counts @ s), int(counts @ (s * s))
+    probable = _test_survivors(prime, x, allow_probable)
+    terms = tuple((l, int(np.count_nonzero(row)))
+                  for l, row in enumerate(prime[:L], 1))
+    S = prime[:L].sum(axis=0, dtype=np.min_scalar_type(L))
+    counts = [int(np.count_nonzero(S == s)) for s in range(L + 1)]  # S(k, L) = s
+    s_sum = sum(s * c for s, c in enumerate(counts))
+    s_sq = sum(s * s * c for s, c in enumerate(counts))
     flags_m, cert_m = _m_window(prime, probable, epsilon, x)
     n_rows = arith.max_m_lt(epsilon, x)  # N's window: m < epsilon*log2(x)
     m_count = int(flags_m.sum())
@@ -443,7 +439,7 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     return CensusReport(
         params=CensusParams(x, epsilon, L),
         sigma=s_sum,
-        pi_terms=tuple(terms),
+        pi_terms=terms,
         sum_S_squared=s_sq,
         N=int(prime[:n_rows].any(axis=0).sum()),
         M=m_count,

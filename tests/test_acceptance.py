@@ -181,7 +181,9 @@ def test_09_cross_module_consistency(verdict):
     ok = True
     empty = []
     for eps in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        census_flags, _ = census._m_window(*census._prime_table(x, eps), eps, x)
+        prime = census._prime_table(x, eps)
+        probable = census._test_survivors(prime, x, True)
+        census_flags, _ = census._m_window(prime, probable, eps, x)
         solver_flags = [
             solver.find_m(k, eps).found_m is not None
             for k in range(1, x + 1, 2)

@@ -59,9 +59,16 @@ def S_count(k, L, allow_probable=True):
                for l in range(1, L + 1))
 
 
+def sieved_and_tested(x, eps, allow_probable=True):
+    """(prime, probable): the census table sieved, then its survivors tested,
+    as density_report builds it around the sigma check."""
+    prime = census._prime_table(x, eps)
+    return prime, census._test_survivors(prime, x, allow_probable)
+
+
 def m_window(x, eps, allow_probable=True):
     """(M's flag per odd k <= x, M's certified flag) from one census table."""
-    return census._m_window(*census._prime_table(x, eps, allow_probable), eps, x)
+    return census._m_window(*sieved_and_tested(x, eps, allow_probable), eps, x)
 
 
 NAIVE_LIMIT = 600  # test_matches_naive_count draws x up to it
@@ -119,23 +126,30 @@ class TestSigma:
         )
         assert report.sigma == expected
 
-    def test_progression_route_against_sieve(self, monkeypatch):
+    def test_progression_route_against_sieve(self):
         # the second route serves every row of a census; small x and l reach
-        # the values that equal a screening prime.  At the default bound
-        # every row here is exact; at 2^5, rows whose values pass
-        # max(2^5, x)^2 test their survivors one by one.  The route takes a
-        # row as exact when its root is within max(bound, x), so the screen
-        # reaches that far.
+        # the values that equal a screening prime.  A census hands it the
+        # odd primes to max(SIEVE_BOUND, x): with the default bound every
+        # row here is exact and keeps the primes; with 2^5, a row whose root
+        # passes max(2^5, x) keeps what no screening prime up to that root
+        # divides, other than as itself.
         for bound in (census.SIEVE_BOUND, 2**5):
-            monkeypatch.setattr(census, "SIEVE_BOUND", bound)
             primes = np.array([p for p in range(3, max(bound, 1001) + 1, 2)
                                if trial_division_prime(p)])
             for x in (1, 2, 5, 100, 1001):
                 screen = primes[primes <= max(bound, x)]
                 for l in range(1, 12):
-                    keep = census._progression_primes(l, x, screen, {})
-                    assert np.count_nonzero(keep) == \
-                        pi_count(x << l, 2 << l, (1 << l) - 1), (bound, x, l)
+                    keep = census._progression_primes(l, x, screen)
+                    root = math.isqrt(x << l)
+                    if root <= max(bound, x):
+                        assert np.count_nonzero(keep) == \
+                            pi_count(x << l, 2 << l, (1 << l) - 1), (bound, x, l)
+                        continue
+                    divisors = screen[screen <= root].tolist()
+                    values = [((2 * j + 1) << l) - 1 for j in range(keep.size)]
+                    assert keep.tolist() == [
+                        not any(n % p == 0 and n != p for p in divisors)
+                        for n in values], (bound, x, l)
 
 
 class TestSumSSquared:
@@ -661,8 +675,8 @@ class TestCensusTable:
         assert kept < 100_000
 
     def test_census_asks_no_value_twice(self, monkeypatch):
-        # the table asks arith once per survivor past SIEVE_BOUND^2, and the
-        # second route re-reads those verdicts rather than asking again
+        # past SIEVE_BOUND^2 the two sieves are compared first, and then
+        # each survivor of the table is tested once
         asked = Counter()
         is_prime = arith.is_prime
 
@@ -676,8 +690,8 @@ class TestCensusTable:
 
     @pytest.mark.parametrize("x,eps", [(2100, 5), (837, Fraction(17, 3))])
     def test_second_route_asks_arith_nothing(self, monkeypatch, x, eps):
-        # both routes sieve to the same bound, so route 2's survivors past
-        # its square are the table's, whose verdicts it re-reads
+        # route 2 is a sieve alone: past SIEVE_BOUND^2 it is compared with
+        # the table's sieve before the table's survivors are tested
         asked = []
         is_prime, route = arith.is_prime, census._progression_primes
 
@@ -708,7 +722,7 @@ class TestCensusTable:
         B = census.SIEVE_BOUND
         cases = [(30, 2583, 1939169, 1430239), (30, 2657, 1234241, 2311487),
                  (31, 1485, 1357009, 2350031), (31, 1531, 1598827, 2056381)]
-        prime, _ = census._prime_table(2657, 3)
+        prime, _ = sieved_and_tested(2657, 3)
         for m, k, p, q in cases:
             assert (k << m) - 1 == p * q and min(p, q) > B
             assert not prime[m - 1, (k - 1) // 2], (m, k)
@@ -737,26 +751,33 @@ class TestCensusTable:
     @pytest.mark.parametrize("x,eps,m,k", [
         (100, 1, 1, 3),      # value 5: a row the screen decides exactly
         (2000, 2, 15, 999),  # value near 2^25: decided exactly too
-        (1001, 3, 25, 999),  # value near 2^35: screen survivors are tested
+        (1001, 3, 25, 999),  # value near 2^35: sieve survivors, tested later
     ])
     def test_planted_table_fault_breaks_sigma(self, monkeypatch, x, eps, m, k):
         build = census._prime_table
 
-        def faulty(*args, **kwargs):
-            prime, probable = build(*args, **kwargs)
+        def faulty(*args):
+            prime = build(*args)
             prime[m - 1, (k - 1) // 2] ^= True
-            return prime, probable
+            return prime
 
         monkeypatch.setattr(census, "_prime_table", faulty)
         with pytest.raises(ArithmeticError, match="sigma identity") as error:
             density_report(x, eps)
         assert str(error.value) == f"sigma identity violated at l = {m}: k = {k}"
 
-    @pytest.mark.parametrize("dropped,l,k", [(3, 1, 5), (101, 4, 827)])
-    def test_planted_sieve_fault_breaks_sigma(self, monkeypatch, dropped, l, k):
+    @pytest.mark.parametrize("bound,x,eps,dropped,l,k", [
+        (census.SIEVE_BOUND, 1000, 1, 3, 1, 5),
+        (census.SIEVE_BOUND, 1000, 1, 101, 4, 827),
+        # 2^13*937 - 1 = 997*7699 passes max(2^5, 1001)^2: the table's
+        # sieve keeps it, and only a check before the test can see that
+        (2**5, 1001, 3, 997, 13, 937),
+    ], ids=["3-1-5", "101-4-827", "997-13-937"])
+    def test_planted_sieve_fault_breaks_sigma(self, monkeypatch, bound, x, eps,
+                                              dropped, l, k):
         # The table sieves with _prime_flags and the second route does not,
         # so a prime lost from _prime_flags leaves its multiples in the table
-        # alone.  Every value here stays below 2^32: no primality test runs.
+        # alone.
         sieve = census._prime_flags
 
         def faulty(limit):
@@ -764,16 +785,16 @@ class TestCensusTable:
             flags[dropped] = False
             return flags
 
-        assert (1000 << arith.max_m_leq(1, 1000)) < 2**32
+        monkeypatch.setattr(census, "SIEVE_BOUND", bound)
         monkeypatch.setattr(census, "_prime_flags", faulty)
         with pytest.raises(ArithmeticError,
                            match=f"sigma identity violated at l = {l}: k = {k}$"):
-            density_report(1000, 1)
+            density_report(x, eps)
 
     @pytest.mark.parametrize("x,eps,lost,gained", [
         (100, 1, 1, 2),     # rows the screen decides exactly
         (2000, 2, 14, 15),  # values near 2^25: decided exactly too
-        (1001, 3, 24, 25),  # values near 2^35: screen survivors are tested
+        (1001, 3, 24, 25),  # values near 2^35: sieve survivors, tested later
     ])
     def test_compensating_table_faults_break_sigma(self, monkeypatch, x, eps,
                                                    lost, gained):
@@ -781,11 +802,11 @@ class TestCensusTable:
         # still matches, so only the per-l comparison can see it.
         build = census._prime_table
 
-        def faulty(*args, **kwargs):
-            prime, probable = build(*args, **kwargs)
+        def faulty(*args):
+            prime = build(*args)
             prime[lost - 1, np.flatnonzero(prime[lost - 1])[0]] = False
             prime[gained - 1, np.flatnonzero(~prime[gained - 1])[0]] = True
-            return prime, probable
+            return prime
 
         monkeypatch.setattr(census, "_prime_table", faulty)
         with pytest.raises(ArithmeticError, match=f"sigma identity violated at l = {lost}:"):
@@ -808,7 +829,7 @@ class TestCensusTable:
         # the budget is exact: 9 rows of 500 odd k take 4 500 bytes
         assert table_bytes(1000, 1) == 4500
         monkeypatch.setattr(census, "TABLE_BYTES_MAX", 4500)
-        assert census._prime_table(1000, 1)[0].nbytes == 4500
+        assert census._prime_table(1000, 1).nbytes == 4500
         monkeypatch.setattr(census, "TABLE_BYTES_MAX", 4499)
         with pytest.raises(DomainError, match="^census table for x = 1000 needs 4500 "
                                               "bytes, over the budget of 4499$"):
@@ -816,7 +837,7 @@ class TestCensusTable:
 
     def test_m_window_holds_no_table_sized_array(self):
         # (10^5, 1): 16 rows of 50 000 odd k, 0.8 MB; M's flags take 50 KB
-        prime, probable = census._prime_table(10**5, 1)
+        prime, probable = sieved_and_tested(10**5, 1)
         tracemalloc.start()
         try:
             census._m_window(prime, probable, Fraction(1), 10**5)
@@ -831,7 +852,7 @@ class TestCensusTable:
         screen = np.array(arith._sieve_upto(census.SIEVE_BOUND)[1:])
         tracemalloc.start()
         try:
-            keep = census._progression_primes(15, 10**5, screen, {})
+            keep = census._progression_primes(15, 10**5, screen)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

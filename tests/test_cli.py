@@ -189,9 +189,9 @@ class TestCensus:
         build = census._prime_table
 
         def faulty(*args):
-            prime, probable = build(*args)
+            prime = build(*args)
             prime[0, 1] = False  # 2*3 - 1 = 5
-            return prime, probable
+            return prime
 
         monkeypatch.setattr(census, "_prime_table", faulty)
         code, out, err = run(["census", "--x", "100", "--epsilon", "1"], capsys)
