@@ -226,8 +226,9 @@ def mult_order(a, p):
 # Window membership tests of the form m <= eps*log2(k) are decided in exact
 # integer arithmetic: with eps = num/den, the condition is 2^(m*den) <= k^num.
 # k^num is refused past POWER_BITS_MAX bits (eps = 1e300 would need ~10^300).
-# A census's window bounds build k^num a few hundred times (886 at x = 9 991,
-# eps = 5); one power takes about 4 ms at 2^18 bits, 3 s at 2^24 (2-vCPU VM).
+# A census builds x^num for max_m_leq and for N's last row, and two powers
+# per row for M's window; one power takes about 4 ms at 2^18 bits, 3 s at
+# 2^24 (2-vCPU VM).
 POWER_BITS_MAX = 1 << 18
 
 
@@ -249,13 +250,3 @@ def max_m_leq(epsilon: Fraction, k):
     eps = _window_epsilon(epsilon, k)
     # 2^(m*den) <= k^num  <=>  m*den <= bit_length(k^num) - 1
     return ((k**eps.numerator).bit_length() - 1) // eps.denominator
-
-
-def max_m_lt(epsilon: Fraction, x):
-    """Largest integer m >= 0 with m < epsilon*log2(x) (strict); x >= 1."""
-    if x < 1:
-        raise DomainError("x must be positive")
-    eps = _window_epsilon(epsilon, x)
-    # 2^(m*den) < x^num  <=>  m*den <= bit_length(x^num - 1) - 1
-    target = x**eps.numerator
-    return 0 if target == 1 else ((target - 1).bit_length() - 1) // eps.denominator

@@ -4,8 +4,8 @@ S-counts and their first/second moments, the sigma reindexing identity,
 the N/M/M' censuses, primes in arithmetic progression by segmented sieve,
 Chebyshev psi as a von Mangoldt sum, and the logarithmic integral, in
 closed form and by Gauss-Legendre quadrature, with its Riemann-sum
-sandwich.  Exponent-window edges are decided in exact rational arithmetic
-(see arith.max_m_leq / max_m_lt).
+sandwich.  Exponent-window edges are decided by exact integer powers:
+with epsilon = num/den, m <= epsilon*log2(k) is 2^(m*den) <= k^num.
 
 A census, density_report, sieves one table of flags for 2^m*k - 1
 (_prime_table), its one table-sized array, and checks it row by row, by the
@@ -32,7 +32,6 @@ With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,8 +115,8 @@ class CensusReport:
 # --- the census table -------------------------------------------------------
 
 
-def _prime_table(x, epsilon):
-    """prime[m-1, j] for m = 1..floor(epsilon*log2(x)) and odd k = 2j + 1 <= x
+def _prime_table(x, rows):
+    """prime[m-1, j] for m = 1..rows and odd k = 2j + 1 <= x
     unless an odd prime p <= min(isqrt(2^m*x), bound) divides 2^m*k - 1 other
     than as itself, bound = max(SIEVE_BOUND, x): the primes in each row whose
     values stay within bound^2, the sieve's survivors in the rows past it.
@@ -127,7 +126,6 @@ def _prime_table(x, epsilon):
     k stride through the row; each larger one hits at most one k, all in one
     step.
     """
-    rows = arith.max_m_leq(epsilon, x)  # >= max_m_lt(epsilon, x): N's window
     nk = (x + 1) // 2
     if rows * nk > TABLE_BYTES_MAX:
         raise DomainError(f"census table for x = {x} needs {rows * nk} "
@@ -170,19 +168,20 @@ def _test_survivors(prime, x, allow_probable):
     return probable
 
 
-def _m_window(prime, probable, epsilon, x):
-    """(flag per odd k <= x, certified): some counted prime 2^m*k - 1 has
-    m <= epsilon*log2(k), a bound nondecreasing in k, so row m's window
-    is the k from its first one on; certified unless the first prime of
-    some k lies in its window and is only probable."""
-    firsts = [
-        bisect_left(range(1, x + 1, 2), m, key=lambda k: arith.max_m_leq(epsilon, k))
-        for m in range(1, len(prime) + 1)
-    ]
+def _m_window(prime, epsilon):
+    """Flag per odd k = 2j + 1: some counted prime 2^m*k - 1 has m <=
+    epsilon*log2(k).  With epsilon = num/den, row m's window is the odd k
+    from the least k with k^num >= 2^(m*den) on, at index k // 2: the
+    float root, within 1 of it for any x a table holds, made exact by two
+    integer powers."""
+    num, den = epsilon.numerator, epsilon.denominator
     flags = np.zeros(prime.shape[1], dtype=bool)
-    for row, first in zip(prime, firsts):
-        flags[first:] |= row[first:]
-    return flags, not any(c >= firsts[r] and not prime[:r, c].any() for r, c in probable)
+    for m, row in enumerate(prime, 1):
+        k, power = math.ceil(2 ** (m * den / num)), 1 << m * den
+        k += k**num < power
+        k -= (k - 1) ** num >= power
+        flags[k // 2 :] |= row[k // 2 :]
+    return flags
 
 
 def _closure_count(flags, x):
@@ -416,11 +415,12 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     L = arith.max_m_leq(epsilon, x) - 1
     if L < 1:
         raise WindowError(f"empty window: L = {L} for x = {x}, epsilon = {epsilon}")
-    prime = _prime_table(x, epsilon)
-    # route 2's odd primes, to the largest root any of its rows needs
-    screen = arith._sieve_upto(min(max(SIEVE_BOUND, x), math.isqrt(x << L)))
+    prime = _prime_table(x, L + 1)
+    # route 2's odd primes, to the largest root any of its rows needs; it
+    # checks every row, as N reads row L + 1 and M every row
+    screen = arith._sieve_upto(min(max(SIEVE_BOUND, x), math.isqrt(x << (L + 1))))
     screen = np.array(screen[1:], dtype=np.int64)
-    for l, row in enumerate(prime[:L], 1):
+    for l, row in enumerate(prime, 1):
         wrong = np.flatnonzero(row != _progression_primes(l, x, screen))
         if wrong.size:
             raise SelfCheckError(
@@ -432,8 +432,9 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     counts = [int(np.count_nonzero(S == s)) for s in range(L + 1)]  # S(k, L) = s
     s_sum = sum(s * c for s, c in enumerate(counts))
     s_sq = sum(s * s * c for s, c in enumerate(counts))
-    flags_m, cert_m = _m_window(prime, probable, epsilon, x)
-    n_rows = arith.max_m_lt(epsilon, x)  # N's window: m < epsilon*log2(x)
+    flags_m = _m_window(prime, epsilon)
+    # N's window, m < epsilon*log2(x), lacks row L + 1 if x^num = 2^((L+1)*den)
+    n_rows = L + (x**epsilon.numerator != 1 << (L + 1) * epsilon.denominator)
     m_count = int(flags_m.sum())
     cs = Fraction(s_sum * s_sum, s_sq) if s_sq else Fraction(0)
     return CensusReport(
@@ -449,8 +450,10 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
         upper_curve=2 * x * math.log2(1 + float(epsilon)),
         # N's rows end at most one row past sigma's, the rows below L: so
         # once no probable prime lies below L, a k that N counts only
-        # through probable primes has one with no prime before it.
-        certified=cert_m and not any(
+        # through probable primes has one with no prime before it.  M needs
+        # no clause: a row m past N's in k's M window needs k^num >=
+        # 2^(m*den) >= x^num, so k = x and x^num is a power of 2: x is even.
+        certified=not any(
             r < L or (r < n_rows and not prime[:r, c].any()) for r, c in probable),
         degenerate_flags=() if s_sq else ("cs_lower_bound_zero_denominator",),
     )

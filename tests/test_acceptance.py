@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hadcensus import census, construct, solver
+from hadcensus import arith, census, construct, solver
 from hadcensus.errors import NoPrimeInRange, WindowError
 from hadcensus.matrix import is_hadamard
 
@@ -181,9 +181,9 @@ def test_09_cross_module_consistency(verdict):
     ok = True
     empty = []
     for eps in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        prime = census._prime_table(x, eps)
-        probable = census._test_survivors(prime, x, True)
-        census_flags, _ = census._m_window(prime, probable, eps, x)
+        prime = census._prime_table(x, arith.max_m_leq(eps, x))
+        census._test_survivors(prime, x, True)
+        census_flags = census._m_window(prime, eps)
         solver_flags = [
             solver.find_m(k, eps).found_m is not None
             for k in range(1, x + 1, 2)

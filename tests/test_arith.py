@@ -189,6 +189,38 @@ class TestLucasLehmerRiesel:
 ODD_PRIMES = [p for p in arith.SMALL_PRIMES if p > 2]
 
 
+class TestStrongLucas:
+    # With the base-2 strong test, _strong_lucas_prp decides every n past
+    # 2^64; these tests call it directly, never through is_prime.
+
+    def test_pseudoprimes_below_1e5(self):
+        # it passes every odd prime and, of the odd composites, exactly the
+        # strong Lucas pseudoprimes of OEIS A217255 (it rejects squares)
+        limit = 10**5
+        composite = bytearray(limit)
+        for p in range(3, math.isqrt(limit) + 1, 2):
+            composite[p * p :: 2 * p] = b"\x01" * len(range(p * p, limit, 2 * p))
+        passed = [n for n in range(3, limit, 2) if arith._strong_lucas_prp(n)]
+        assert [n for n in passed if composite[n]] == [
+            5459, 5777, 10877, 16109, 18971, 22499,
+            24569, 25199, 40309, 58519, 75077, 97439]
+        assert [n for n in passed if not composite[n]] == [
+            n for n in range(3, limit, 2) if not composite[n]]
+
+    def test_against_sympy(self):
+        primetest = pytest.importorskip("sympy.ntheory.primetest")
+        rng = random.Random(89)
+        sample = [3 * 2**64 - 1, 2**89 - 1, 2**127 - 1,
+                  (2**89 - 1) * (2**107 - 1), (2**61 - 1) * (2**127 - 1)]
+        sample += [rng.randrange(1 << 64, 1 << 96) | 1 for _ in range(300)]
+        sample += [(rng.randrange(1, 1 << 20, 2) << rng.randrange(64, 200)) - 1
+                   for _ in range(300)]
+        for n in sample:
+            assert arith._strong_lucas_prp(n) == primetest.is_strong_lucas_prp(n), n
+        assert all(map(arith._strong_lucas_prp, sample[:3]))
+        assert not any(map(arith._strong_lucas_prp, sample[3:5]))
+
+
 class TestJacobi:
     def test_examples(self):
         assert jacobi(0, 7) == 0
@@ -293,10 +325,7 @@ class TestWindows:
     def test_boundary_exactness(self):
         # m <= 2*log2(k) at k = 4 admits exactly m = 4
         assert arith.max_m_leq(Fraction(2), 4) == 4
-        # strict window m < 2*log2(4) = 4 stops at 3
-        assert arith.max_m_lt(Fraction(2), 4) == 3
         assert arith.max_m_leq(Fraction(1), 1) == 0
-        assert arith.max_m_lt(Fraction(1, 2), 2) == 0
 
     @given(
         st.integers(min_value=1, max_value=7),
@@ -305,12 +334,8 @@ class TestWindows:
     )
     @settings(max_examples=300)
     def test_closed_forms_meet_the_definition(self, num, den, k):
-        # With epsilon = num/den, m <= epsilon*log2(k) is 2^(m*den) <= k^num
-        # and m < epsilon*log2(k) is 2^(m*den) < k^num; each bound is the
-        # largest m >= 0 satisfying its inequality.
+        # With epsilon = num/den, m <= epsilon*log2(k) is 2^(m*den) <= k^num;
+        # the bound is the largest m >= 0 satisfying it.
         eps = Fraction(num, den)
         leq = arith.max_m_leq(eps, k)
         assert 2 ** (leq * den) <= k**num < 2 ** ((leq + 1) * den)
-        lt = arith.max_m_lt(eps, k)
-        assert lt == 0 or 2 ** (lt * den) < k**num
-        assert k**num <= 2 ** ((lt + 1) * den)

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hadcensus import arith, census
@@ -62,13 +63,13 @@ def S_count(k, L, allow_probable=True):
 def sieved_and_tested(x, eps, allow_probable=True):
     """(prime, probable): the census table sieved, then its survivors tested,
     as density_report builds it around the sigma check."""
-    prime = census._prime_table(x, eps)
+    prime = census._prime_table(x, arith.max_m_leq(Fraction(eps), x))
     return prime, census._test_survivors(prime, x, allow_probable)
 
 
 def m_window(x, eps, allow_probable=True):
-    """(M's flag per odd k <= x, M's certified flag) from one census table."""
-    return census._m_window(*sieved_and_tested(x, eps, allow_probable), eps, x)
+    """M's flag per odd k <= x from one census table."""
+    return census._m_window(sieved_and_tested(x, eps, allow_probable)[0], Fraction(eps))
 
 
 NAIVE_LIMIT = 600  # test_matches_naive_count draws x up to it
@@ -175,7 +176,7 @@ class TestCensusCounts:
 
     def test_M_prime_closure(self):
         # 15 = 3 * 5 qualifies through its factors at epsilon = 1
-        flags, _ = m_window(15, Fraction(1))
+        flags = m_window(15, Fraction(1))
         report = density_report(15, 1)
         assert report.M_prime >= report.M
         base_3 = flags[(3 - 1) // 2]
@@ -616,7 +617,7 @@ def _brute_census(x, eps, allow_probable):
         "cs_lower_bound": Fraction(sigma_ * sigma_, ssq) if ssq else 0,
         "upper_curve": 2 * x * math.log2(1 + float(eps)),
         "certified": certified and m_certified and n_certified,
-        "m_detail": (list(qualifies.values()), m_certified),
+        "m_detail": list(qualifies.values()),
         "degenerate_flags": () if ssq else ("cs_lower_bound_zero_denominator",),
     }
 
@@ -626,13 +627,16 @@ class TestCensusTable:
     # rows from m = 23 on reach past SIEVE_BOUND^2 = 2^34; row 23 straddles
     # it (k <= 2047 lies below, k >= 2049 above).
     # (800, 6): the first window prime of k = 763 is 2^55*763 - 1, a probable
-    # prime, so M's certified flag turns on the first prime of a window.
+    # prime in a row below L = 56, so it clears the certified flag.
     # (837, 17/3): N's window is m = 1..55, one row past L = 54, and k = 763
     # has only the probable prime 2^55*763 - 1 there, which M leaves out
     # (55 > (17/3)*log2(763)); so N's window clears the certified flag.
     # (3, 163): L = 257 rows, so S(k, L) needs two bytes.
+    # (1024, 1/2): x^num = 2^((L+1)*den), so N's window stops at row L, and
+    # each row's first k in M's window falls on an exact power.
     GRID = [(2, 2), (4, 2), (100, Fraction(1, 2)), (300, 1), (500, Fraction(3, 2)),
-            (800, 6), (837, Fraction(17, 3)), (3, 163), (2100, 5)]
+            (800, 6), (837, Fraction(17, 3)), (3, 163), (1024, Fraction(1, 2)),
+            (2100, 5)]
 
     def test_grid_covers_the_hard_cases(self):
         B = census.SIEVE_BOUND
@@ -643,11 +647,8 @@ class TestCensusTable:
         # probable primes clear the certified flags
         assert not density_report(2100, 5).certified
         assert density_report(2100, 5, allow_probable=False).certified
-        assert not m_window(800, 6)[1]
-        assert m_window(800, 6, allow_probable=False)[1]
         report = density_report(837, Fraction(17, 3))
         assert (report.N, report.certified) == (410, False)
-        assert m_window(837, Fraction(17, 3))[1]
         report = density_report(837, Fraction(17, 3), allow_probable=False)
         assert (report.N, report.certified) == (409, True)
 
@@ -656,8 +657,7 @@ class TestCensusTable:
     def test_report_matches_brute_force(self, x, eps, allow_probable):
         report = density_report(x, eps, allow_probable)
         expected = _brute_census(x, Fraction(eps), allow_probable)
-        flags, certified = m_window(x, eps, allow_probable)
-        assert (flags.tolist(), certified) == expected.pop("m_detail")
+        assert m_window(x, eps, allow_probable).tolist() == expected.pop("m_detail")
         assert report.params.L == expected.pop("L")
         for field, value in expected.items():
             assert getattr(report, field) == value, field
@@ -772,7 +772,10 @@ class TestCensusTable:
         # 2^13*937 - 1 = 997*7699 passes max(2^5, 1001)^2: the table's
         # sieve keeps it, and only a check before the test can see that
         (2**5, 1001, 3, 997, 13, 937),
-    ], ids=["3-1-5", "101-4-827", "997-13-937"])
+        # 2^11*2419 - 1 = 1609*3079: row 11 is row L + 1, past sigma's
+        # window, yet N and M read it
+        (census.SIEVE_BOUND, 2501, 1, 1609, 11, 2419),
+    ], ids=["3-1-5", "101-4-827", "997-13-937", "1609-11-2419"])
     def test_planted_sieve_fault_breaks_sigma(self, monkeypatch, bound, x, eps,
                                               dropped, l, k):
         # The table sieves with _prime_flags and the second route does not,
@@ -825,22 +828,44 @@ class TestCensusTable:
         with pytest.raises(DomainError, match="over the budget"):
             density_report(10**9, 1)
         with pytest.raises(DomainError, match="over the budget"):
-            census._prime_table(10**9, 1)
+            census._prime_table(10**9, 29)
         # the budget is exact: 9 rows of 500 odd k take 4 500 bytes
         assert table_bytes(1000, 1) == 4500
         monkeypatch.setattr(census, "TABLE_BYTES_MAX", 4500)
-        assert census._prime_table(1000, 1).nbytes == 4500
+        assert census._prime_table(1000, 9).nbytes == 4500
         monkeypatch.setattr(census, "TABLE_BYTES_MAX", 4499)
         with pytest.raises(DomainError, match="^census table for x = 1000 needs 4500 "
                                               "bytes, over the budget of 4499$"):
-            census._prime_table(1000, 1)
+            census._prime_table(1000, 9)
+
+    @given(st.integers(min_value=2, max_value=5000),
+           st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=10**6))
+    @example(10**4, 18723, 16000, 0)  # epsilon at the POWER_BITS_MAX cap
+    @example(10**4, 18723, 16000, 14)  # its last row, m = 15
+    @example(1024, 1, 2, 3)  # m = 4: k >= 2^8, an exact power
+    @settings(max_examples=200, deadline=None)
+    def test_m_window_starts_at_the_least_k(self, x, num, den, pick):
+        # For a table whose only true row is m, M's flags start at the least
+        # odd k with k^num >= 2^(m*den), found here by exact powers alone.
+        eps = Fraction(num, den)
+        rows = arith.max_m_leq(eps, x)
+        assume(rows >= 1)
+        m = 1 + pick % rows
+        prime = np.zeros((rows, (x + 1) // 2), dtype=bool)
+        prime[m - 1] = True
+        power = 1 << m * eps.denominator
+        first = bisect_left(range(1, x + 1, 2), True,
+                            key=lambda k: k**eps.numerator >= power)
+        assert census._m_window(prime, eps).tolist() == [
+            j >= first for j in range(prime.shape[1])]
 
     def test_m_window_holds_no_table_sized_array(self):
         # (10^5, 1): 16 rows of 50 000 odd k, 0.8 MB; M's flags take 50 KB
-        prime, probable = sieved_and_tested(10**5, 1)
+        prime, _ = sieved_and_tested(10**5, 1)
         tracemalloc.start()
         try:
-            census._m_window(prime, probable, Fraction(1), 10**5)
+            census._m_window(prime, Fraction(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
