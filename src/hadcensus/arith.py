@@ -3,6 +3,7 @@
 Everything here is pure and deterministic.  Integers are arbitrary
 precision; primality is exact below 2^64 (Lucas-Lehmer-Riesel for k*2^s - 1
 with odd k < 2^s, else a witness set), Baillie/PSW-style and uncertified above.
+LLR and the strong Lucas step share one Lucas V ladder, _lucas_v.
 """
 
 from __future__ import annotations
@@ -82,42 +83,36 @@ def _is_square(n):
     return math.isqrt(n) ** 2 == n
 
 
+def _lucas_v(P, Q, k, n):
+    """(V_k, V_{k+1}, Q^k) mod n, V_0 = 2, V_1 = P, V_{i+1} = P*V_i - Q*V_{i-1}, by a
+    ladder over k's bits: V_{2j} = V_j^2 - 2*Q^j, V_{2j+1} = V_j*V_{j+1} - P*Q^j."""
+    v, w, qk = 2, P, 1
+    for bit in bin(k)[2:]:
+        vw = (v * w - P * qk) % n
+        if bit == "1":
+            v, w, qk = vw, (w * w - 2 * Q * qk) % n, qk * qk * Q % n
+        else:
+            v, w, qk = (v * v - 2 * qk) % n, vw, qk * qk % n
+    return v, w, qk
+
+
 def _strong_lucas_prp(n):
     # Strong Lucas probable-prime test, Selfridge method A parameters.
     if _is_square(n):
         return False
     D = 5
-    while True:
-        j = jacobi(D, n)
-        if j == 0:
-            return abs(D) == n  # shared factor
-        if j == -1:
-            break
+    while (j := jacobi(D, n)) == 1:
         D = -(D + 2) if D > 0 else -(D - 2)
-    Q = (1 - D) // 4
-    d = n + 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    # Compute U_d, V_d mod n by binary ladder.
-    U, V, Qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U, V = U * V % n, (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
-        if bit == "1":
-            U, V = (U + V) % n, (V + D * U) % n
-            if U & 1:
-                U += n
-            if V & 1:
-                V += n
-            U, V = (U >> 1) % n, (V >> 1) % n
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
+    if j == 0:
+        return abs(D) == n  # shared factor
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d*2^s, d odd
+    V, W, Qk = _lucas_v(1, (1 - D) // 4, (n + 1) >> s, n)  # P = 1, Q = (1 - D)/4
+    if 2 * W % n == V:  # D*U_d = 2*V_{d+1} - V_d, and D is a unit mod n
         return True
-    for _ in range(s - 1):
-        V = (V * V - 2 * Qk) % n
+    for _ in range(s):  # V_{d*2^r} = 0 for some r < s
         if V == 0:
             return True
-        Qk = Qk * Qk % n
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
     return False
 
 
@@ -133,10 +128,7 @@ def _llr(n):
     P = None if k >> t else next(rodseth, None)  # lazy: no search when k >= 2^t
     if P is None:  # k >= 2^t, or no such P: a composite may have none
         return None
-    v, w = P, P * P - 2  # (V_j, V_{j+1}) for j = 1, then for k's leading bits
-    for bit in bin(k)[3:]:
-        vw = (v * w - P) % n
-        v, w = (vw, (w * w - 2) % n) if bit == "1" else ((v * v - 2) % n, vw)
+    v = _lucas_v(P, 1, k, n)[0]
     for _ in range(t - 2):
         v = (v * v - 2) % n
     return _LLR_PRIME if v == 0 else _LLR_COMPOSITE

@@ -184,17 +184,17 @@ def _m_window(prime, epsilon):
     return flags
 
 
-def _closure_count(flags, x):
-    """Size of the multiplicative closure of the odd k <= x marked in flags
-    (flags indexed (k-1)//2): products of members are marked until no
-    product adds a member."""
-    has = np.zeros(x + 1, dtype=bool)
-    has[1::2] = flags
+def _closure_count(flags):
+    """Size of the multiplicative closure of the odd k marked in flags
+    (index i for k = 2i + 1, to k = 2*flags.size - 1): products of members
+    are marked until no product adds a member."""
+    has, top = flags.copy(), 2 * flags.size - 1
     while True:
         before = int(np.count_nonzero(has))
-        for d in np.flatnonzero(has[: math.isqrt(x) + 1]).tolist():
-            hi = x // d  # d*j for odd j in d..hi
-            has[d * d : d * hi + 1 : 2 * d] |= has[d : hi + 1 : 2]
+        for i in np.flatnonzero(has[: (math.isqrt(top) + 1) // 2]).tolist():
+            d = 2 * i + 1
+            hi = (top // d - 1) // 2  # d*(2j + 1), at index d*j + i, for j in i..hi
+            has[d * i + i : d * hi + i + 1 : d] |= has[i : hi + 1]
         if np.count_nonzero(has) == before:
             return before
 
@@ -281,15 +281,6 @@ def _progression_hits(limit, q, a):
 def pi_count(x, q, a):
     """Primes p <= x with p = a (mod q), by segmented sieve."""
     return sum(int(np.count_nonzero(hits)) for _, _, hits in _progression_hits(x, q, a))
-
-
-def pi_prefix(limit, q, a):
-    """Array c with c[x] = pi_count(x, q, a) for every x in 0..limit,
-    built from the same segmented machinery."""
-    marks = np.zeros(limit + 1, dtype=bool)
-    for n, step, hits in _progression_hits(limit, q, a):
-        marks[n : n + step * hits.size : step] = hits
-    return np.cumsum(marks, dtype=np.int64)
 
 
 # --- the logarithmic integral and its sandwich -------------------------------
@@ -444,7 +435,7 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
         sum_S_squared=s_sq,
         N=int(prime[:n_rows].any(axis=0).sum()),
         M=m_count,
-        M_prime=_closure_count(flags_m, x),
+        M_prime=_closure_count(flags_m),
         H_lower=1 + m_count,
         cs_lower_bound=cs,
         upper_curve=2 * x * math.log2(1 + float(epsilon)),

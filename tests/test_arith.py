@@ -189,6 +189,18 @@ class TestLucasLehmerRiesel:
 ODD_PRIMES = [p for p in arith.SMALL_PRIMES if p > 2]
 
 
+@given(st.integers(-20, 20), st.integers(-20, 20), st.integers(0, 300),
+       st.integers(1, 499_999).map(lambda h: 2 * h + 1))
+@settings(max_examples=300, deadline=None)
+def test_lucas_v_ladder_meets_the_recurrence(P, Q, k, n):
+    # the ladder that LLR and the strong Lucas test share, against V_0 = 2,
+    # V_1 = P, V_{i+1} = P*V_i - Q*V_{i-1} step by step (Q < 0 as Selfridge's)
+    v = [2 % n, P % n]
+    for _ in range(k):
+        v.append((P * v[-1] - Q * v[-2]) % n)
+    assert arith._lucas_v(P, Q, k, n) == (v[k], v[k + 1], pow(Q, k, n))
+
+
 class TestStrongLucas:
     # With the base-2 strong test, _strong_lucas_prp decides every n past
     # 2^64; these tests call it directly, never through is_prime.

@@ -15,7 +15,6 @@ from hadcensus.census import (
     I_quadrature,
     density_report,
     pi_count,
-    pi_prefix,
     psi,
     psi_paths,
     riemann_tail_sum,
@@ -51,6 +50,15 @@ def verdict(n):
     if n not in VERDICTS:
         VERDICTS[n] = arith.is_prime(n)
     return VERDICTS[n]
+
+
+def pi_prefix(limit, q, a):
+    """Array c with c[x] = pi_count(x, q, a) for every x in 0..limit, from
+    the segments of census._progression_hits."""
+    marks = np.zeros(limit + 1, dtype=bool)
+    for n, step, hits in census._progression_hits(limit, q, a):
+        marks[n : n + step * hits.size : step] = hits
+    return np.cumsum(marks, dtype=np.int64)
 
 
 def S_count(k, L, allow_probable=True):
@@ -738,13 +746,13 @@ class TestCensusTable:
                 has[k] = has[k] or any(
                     k % d == 0 and has[d] and has[k // d]
                     for d in range(3, math.isqrt(k) + 1, 2))
-            assert census._closure_count(flags, x) == sum(has.values())
+            assert census._closure_count(flags) == sum(has.values())
         # powers need more than one round of products
         flags = np.zeros(500, dtype=bool)
         flags[[1]] = True  # {3}: 3, 9, 27, 81, 243, 729
-        assert census._closure_count(flags, 999) == 6
+        assert census._closure_count(flags) == 6
         flags[[1, 2, 3]] = True  # {3, 5, 7}: all 3^a 5^b 7^c <= 999
-        assert census._closure_count(flags, 999) == sum(
+        assert census._closure_count(flags) == sum(
             1 for k in range(1, 1000, 2)
             if k > 1 and k == 3 ** _val(k, 3) * 5 ** _val(k, 5) * 7 ** _val(k, 7))
 
