@@ -50,6 +50,9 @@ PSI_REL_TOL = 1e-9  # psi's two routes agree to this, relative to the larger
 # Both census routes sieve with the odd primes up to max(SIEVE_BOUND, x);
 # a row whose values pass that bound's square tests its survivors.
 SIEVE_BOUND = 1 << 17
+# a prime hitting a census row at most FEW_HITS times (p*FEW_HITS >= the
+# number of odd k) strikes in vectorised passes, not by its own strided slice
+FEW_HITS = 16
 TABLE_BYTES_MAX = 1 << 27  # bytes: _prime_table (rows*(x+1)//2)
 GAUSS_POINTS = 20  # Gauss-Legendre nodes per I_quadrature panel
 
@@ -123,8 +126,8 @@ def _prime_table(x, rows):
 
     2^m*k - 1 = 0 (mod p) exactly when k = 2^-m (mod p), so row m crosses
     those k out but spares the entry equal to p.  Primes below the number of
-    k stride through the row; each larger one hits at most one k, all in one
-    step.
+    k over FEW_HITS stride through the row; pass i < FEW_HITS stores hit i of
+    each larger p with i*p below it, all in one index.
     """
     nk = (x + 1) // 2
     if rows * nk > TABLE_BYTES_MAX:
@@ -145,11 +148,13 @@ def _prime_table(x, rows):
         own = ((2 * j + 1) << min(m, bound.bit_length())) == p + 1
         j += p * own
         row = prime[m - 1]
-        small = int(np.searchsorted(p, nk))
+        small = int(np.searchsorted(p, -(-nk // FEW_HITS)))
         for start, step in zip(j[:small].tolist(), p[:small].tolist()):
             row[start::step] = False
-        large = j[small:]
-        row[large[large < nk]] = False
+        for i in range(FEW_HITS):  # pass i: hit i of each p with i*p < nk
+            end = np.searchsorted(p, -(-nk // i)) if i else p.size
+            hit = j[small:end] + i * p[small:end]
+            row[hit[hit < nk]] = False
     return prime
 
 
@@ -210,8 +215,8 @@ def _progression_primes(l, x, screen):
     max(SIEVE_BOUND, x)), so keep is those primes while the root is within
     bound, and the same survivors as the table's row l past it.  Each p
     strikes out every k = 2j + 1 = 2^-l (mod p) but the one whose value is
-    p: by a strided slice if p is below the number of k, else at its one k,
-    all in one index.
+    p: by a strided slice if p is below the number of k over FEW_HITS, else
+    in passes that each strike every live p's next k in one index.
 
     The route shares no sieve or indexing with _prime_table, so that a
     fault in the sieve or indexing of either shows as a disagreement: its
@@ -229,10 +234,13 @@ def _progression_primes(l, x, screen):
         inv = inv * inv % p * half ** int(bit) % p
     j = (inv - 1) * half % p  # k = 2j + 1 = 2^-l (mod p)
     j += p * (((p + 1) & -(p + 1)) >> l == 1)  # p + 1 = 2^l*odd: skip p's own k
-    small = p < keep.size  # each larger p strikes at most its one k
+    small = p < -(-keep.size // FEW_HITS)  # each larger p hits at most FEW_HITS k
     for start, step in zip(j[small].tolist(), p[small].tolist()):
         keep[start::step] = False
-    keep[j[~small & (j < keep.size)]] = False
+    j, p = j[~small], p[~small]
+    while (live := j < keep.size).any():  # until each p's next k is past the end
+        keep[j[live]] = False
+        j, p = j[live] + p[live], p[live]
     return keep
 
 

@@ -61,6 +61,21 @@ def pi_prefix(limit, q, a):
     return np.cumsum(marks, dtype=np.int64)
 
 
+def strided_row(m, x, primes):
+    """Row m of the census sieve by one strided slice per prime, the loop
+    both census routes ran for every prime before few-hit primes struck in
+    vectorised passes: each p of primes up to isqrt(2^m*x) strikes the odd
+    k = 2^-m (mod p) but the one whose value 2^m*k - 1 is p itself."""
+    keep = np.ones((x + 1) // 2, dtype=bool)
+    keep[:1] = m > 1  # 2*1 - 1 = 1
+    for p in primes[primes <= math.isqrt(x << m)].tolist():
+        k = pow(2, -m, p)
+        start = (k if k % 2 else k + p) // 2
+        start += p * (((2 * start + 1) << m) - 1 == p)
+        keep[start::p] = False
+    return keep
+
+
 def S_count(k, L, allow_probable=True):
     """Number of l in 1..L with 2^l*k - 1 counted as prime (k odd), one
     verdict at a time: the S of _brute_census."""
@@ -878,6 +893,38 @@ class TestCensusTable:
         finally:
             tracemalloc.stop()
         assert peak < prime.nbytes // 4
+
+    @pytest.mark.parametrize("x", [3229, 3231, 3233])
+    def test_few_hit_passes_match_strided_loop(self, x, monkeypatch):
+        # (x + 1)//2 = 16*101 - 1, 16*101, 16*101 + 1 odd k: p = 101 hits a
+        # row at most FEW_HITS = 16 times in the first two, so it strikes in
+        # passes, and may hit 17 times in the third, so the strided loop
+        # keeps it there.  The rows pass SIEVE_BOUND^2 from m = 23.  A
+        # FEW_HITS of 1 leaves every p below the number of k to the loop; one
+        # of (x + 1)//2 leaves it nothing.
+        # At 9, p = 179 = (x + 1)//2 // 9 hits row 7 ten times: the few-hit
+        # class starts at the ceiling of (x + 1)//2 / FEW_HITS, not the floor.
+        nk = (x + 1) // 2
+        screen = np.array(arith._sieve_upto(census.SIEVE_BOUND)[1:])
+        expected = [strided_row(m, x, screen) for m in range(1, 25)]
+        for few in (1, 2, 9, census.FEW_HITS, nk):
+            monkeypatch.setattr(census, "FEW_HITS", few)
+            prime = census._prime_table(x, 24)
+            for m, row in enumerate(expected, 1):
+                assert prime[m - 1].tolist() == row.tolist(), (few, m)
+                keep = census._progression_primes(m, x, screen)
+                assert keep.tolist() == row.tolist(), (few, m)
+
+    def test_table_holds_no_strike_index(self):
+        # (10^5, 16): 16 rows of 50 000 odd k, 0.8 MB, struck by up to 7 922
+        # odd primes; an index of every strike would take several MB
+        tracemalloc.start()
+        try:
+            prime = census._prime_table(10**5, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - prime.nbytes < 1 << 20
 
     def test_progression_route_holds_no_strike_index(self):
         # 5 800 screening primes over 50 000 odd k: an index of every strike
