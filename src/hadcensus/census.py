@@ -9,17 +9,20 @@ with epsilon = num/den, m <= epsilon*log2(k) is 2^(m*den) <= k^num.
 
 A census, density_report, sieves one table of flags for 2^m*k - 1
 (_prime_table), its one table-sized array, and checks it row by row, by the
-sigma identity, against a second sieve, _progression_primes, that shares no
-prime list, inverse or strike code with it.  Both sieve with the odd primes
-to max(SIEVE_BOUND, x), exact on each row whose values stay within that
-bound's square, as all do at epsilon <= 1; past it they are compared
-survivor by survivor, and only then does _test_survivors test each survivor
-once.  The first k whose flags differ names the fault; arith's test is
-covered by test_arith.  S, sum S^2, N, M, M' and the certified flag reduce
-the tested table and its short list of probable primes.  pi_count sieves
-only the odd members of its class, psi's smallest-prime-factor route only
-the members of its own; psi's other route reads pi's sieve, checking it,
-and the two share no table.
+sigma identity, against pi's own sieve of the class 2^l - 1 mod 2^(l+1) to
+2^l*x, _progression_hits, segment by segment.  The two share no prime list,
+inverse or strike code: the table sieves with _prime_flags, carries 2^-m
+from row to row and spares each p's own k; the class sieve takes the odd
+primes of arith's bytearray sieve, raises (p + 1)/2 to its power afresh and
+strikes from p^2.  Both sieve with the odd primes to max(SIEVE_BOUND, x),
+exact on each row whose values stay within that bound's square, as all do
+at epsilon <= 1; past it they are compared survivor by survivor, and only
+then does _test_survivors test each survivor once.  The first k whose flags
+differ names the fault; arith's test is covered by test_arith.  S, sum S^2,
+N, M, M' and the certified flag reduce the tested table and its short list
+of probable primes.  pi_count sieves only the odd members of its class,
+psi's smallest-prime-factor route only the members of its own; psi's other
+route reads pi's sieve, checking it, and the two share no table.
 Past TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
@@ -41,7 +44,7 @@ from . import arith
 from .errors import DomainError, SelfCheckError, WindowError
 
 SEGMENT_SIZE = 1 << 20  # odd class members per pi sieve segment
-# q = 4 sieves 10^9 in 1.0 s, 10^10 in 21 s on a 2-vCPU VM; ~4 MB at the cap
+# q = 4 sieves 10^9 in 1.1 s, 10^10 in 14-17 s on a 2-vCPU VM; ~4 MB at the cap
 PI_MAX_X = 10**11
 # psi takes ~19 bytes per class member (route 1) and a sieve segment (route 2);
 # at x = 10^7 it peaks at 18.6 bytes per integer for q = 1, 4.25 for q = 4
@@ -50,8 +53,9 @@ PSI_REL_TOL = 1e-9  # psi's two routes agree to this, relative to the larger
 # Both census routes sieve with the odd primes up to max(SIEVE_BOUND, x);
 # a row whose values pass that bound's square tests its survivors.
 SIEVE_BOUND = 1 << 17
-# a prime hitting a census row at most FEW_HITS times (p*FEW_HITS >= the
-# number of odd k) strikes in vectorised passes, not by its own strided slice
+# a prime hitting a census row or a class sieve segment at most FEW_HITS
+# times (p*FEW_HITS >= its length) strikes in vectorised passes, not by its
+# own strided slice
 FEW_HITS = 16
 TABLE_BYTES_MAX = 1 << 27  # bytes: _prime_table (rows*(x+1)//2)
 GAUSS_POINTS = 20  # Gauss-Legendre nodes per I_quadrature panel
@@ -204,46 +208,6 @@ def _closure_count(flags):
             return before
 
 
-# --- the sigma identity's second route ----------------------------------------
-
-
-def _progression_primes(l, x, screen):
-    """keep[j] for odd 2j + 1 <= x unless an odd prime p <= isqrt(2^l*x) of
-    screen divides 2^l*(2j + 1) - 1 other than as itself: a sieve of the
-    p <= 2^l*x with p = 2^l - 1 (mod 2^(l+1)), the sigma identity's second
-    route.  screen holds the odd primes to at least min(that root, bound =
-    max(SIEVE_BOUND, x)), so keep is those primes while the root is within
-    bound, and the same survivors as the table's row l past it.  Each p
-    strikes out every k = 2j + 1 = 2^-l (mod p) but the one whose value is
-    p: by a strided slice if p is below the number of k over FEW_HITS, else
-    in passes that each strike every live p's next k in one index.
-
-    The route shares no sieve or indexing with _prime_table, so that a
-    fault in the sieve or indexing of either shows as a disagreement: its
-    primes come from arith's bytearray sieve, not _prime_flags; each row
-    raises (p + 1)/2 to the l-th power, with no inverse carried over, and
-    spots p's own k from the low bits of p + 1.  density_report compares
-    the two before any survivor is tested, so past bound^2 too the check is
-    sieve against sieve; arith's test is covered by tests/test_arith.py.
-    """
-    keep = np.ones((x + 1) // 2, dtype=bool)
-    keep[:1] = l > 1  # 2*1 - 1 = 1
-    p = screen[: np.searchsorted(screen, math.isqrt(x << l), side="right")]
-    half, inv = (p + 1) // 2, np.ones_like(p)  # 2^-1 and 2^-0 (mod p)
-    for bit in bin(l)[2:]:  # inv = half^l by square and multiply
-        inv = inv * inv % p * half ** int(bit) % p
-    j = (inv - 1) * half % p  # k = 2j + 1 = 2^-l (mod p)
-    j += p * (((p + 1) & -(p + 1)) >> l == 1)  # p + 1 = 2^l*odd: skip p's own k
-    small = p < -(-keep.size // FEW_HITS)  # each larger p hits at most FEW_HITS k
-    for start, step in zip(j[small].tolist(), p[small].tolist()):
-        keep[start::step] = False
-    j, p = j[~small], p[~small]
-    while (live := j < keep.size).any():  # until each p's next k is past the end
-        keep[j[live]] = False
-        j, p = j[live] + p[live], p[live]
-    return keep
-
-
 # --- primes in arithmetic progression ---------------------------------------
 
 
@@ -256,14 +220,17 @@ def _prime_flags(limit):
     return flags
 
 
-def _progression_hits(limit, q, a):
+def _progression_hits(limit, q, a, primes=None):
     """(n, step, hits) for 2, then per SEGMENT_SIZE odd members r + period*i
-    (period = lcm(2, q)) of a mod q up to limit: hits[j] when n + j*step is
-    prime.  Odd base primes p not dividing q strike from the first member >= p^2."""
+    (period = lcm(2, q)) of a mod q up to limit: hits[j] unless a base prime
+    p <= isqrt(limit) not dividing q divides n + j*step, struck from the
+    first member >= p^2.  Base primes: all odd primes, or those in the sorted
+    array primes.  The first hit, i = -r/period (mod p), needs no per-prime
+    loop unless period has an odd factor.  In each segment the p below its
+    size over FEW_HITS stride through it, passes strike each larger p's next
+    hit until none is left, and each p's next hit carries to the next one."""
     if q < 1:
         raise DomainError("q must be positive")
-    if limit > PI_MAX_X:
-        raise DomainError(f"x = {limit} exceeds the pi limit {PI_MAX_X}")
     if limit >= 2 and (2 - a) % q == 0:
         yield 2, 1, np.ones(1, dtype=bool)
     r = a % q + q * (a % q % 2 == 0)
@@ -272,22 +239,45 @@ def _progression_hits(limit, q, a):
         if r % 2 and r <= limit and arith.is_prime(r):
             yield r, period, np.ones(1, dtype=bool)
         return
-    p = np.flatnonzero(_prime_flags(math.isqrt(limit)))
-    p = p[period % p != 0]  # odd, not dividing q; p | r + period*i iff i = t (mod p)
-    t = np.array([-r * pow(period, -1, d) % d for d in p.tolist()], dtype=np.int64)
-    square = (p * p - r + period - 1) // period  # first i whose member >= p^2
-    first = square + (t - square) % p  # each p's next strike, from the segment's start
+    if primes is None:
+        primes = np.flatnonzero(_prime_flags(math.isqrt(limit)))[1:]
+    p = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
+    if (odd := period // (period & -period)) > 1:
+        p = p[odd % p != 0]  # p | q divides no member
+    first = np.zeros_like(p)  # r mod p, 31 bits at a time from the top
+    for shift in range(r.bit_length() // 31 * 31, -1, -31):
+        first = (first << 31 | r >> shift & (1 << 31) - 1) % p
+    if odd > 1:  # first = -r/period (mod p), the first hit
+        inv = np.array([pow(period, -1, d) for d in p.tolist()], dtype=np.int64)
+        first = -first * inv % p
+    else:  # 1/period = half^e, half = (p + 1)/2 squared once per bit of e
+        first, half = -first % p, (p + 1) // 2
+        for bit in bin(period.bit_length() - 1)[:1:-1]:
+            first = first * half ** int(bit) % p
+            half = half * half % p
+    cap = min(period, 1 << 62)  # p^2 < 2^62: past it, only p^2 > r counts
+    square = (p * p + (cap - 1 - min(r, cap - 1))) // cap  # first i, member >= p^2
+    first -= (first - square) // p * p  # each p's first hit from there
     for n in range(r, limit + 1, period * SEGMENT_SIZE):
         flags = np.ones(min(SEGMENT_SIZE, (limit - n) // period + 1), dtype=bool)
         flags[0] = n > 1  # 1 is not prime
-        for start, step in np.column_stack([first, p])[first < flags.size].tolist():
+        small = np.searchsorted(p, -(-flags.size // FEW_HITS))
+        for start, step in zip(first[:small].tolist(), p[:small].tolist()):
             flags[start::step] = False
-        first = np.maximum(first - flags.size, (first - flags.size) % p)
+        j, step = first[small:], p[small:]
+        while (live := j < flags.size).any():  # until each p's next hit is past the end
+            flags[j[live]] = False
+            j, step = j[live] + step[live], step[live]
+        if n + period * flags.size <= limit:  # another segment follows
+            first -= flags.size
+            np.maximum(first, first % p, out=first)
         yield n, period, flags
 
 
 def pi_count(x, q, a):
     """Primes p <= x with p = a (mod q), by segmented sieve."""
+    if x > PI_MAX_X:
+        raise DomainError(f"x = {x} exceeds the pi limit {PI_MAX_X}")
     return sum(int(np.count_nonzero(hits)) for _, _, hits in _progression_hits(x, q, a))
 
 
@@ -420,10 +410,12 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     screen = arith._sieve_upto(min(max(SIEVE_BOUND, x), math.isqrt(x << (L + 1))))
     screen = np.array(screen[1:], dtype=np.int64)
     for l, row in enumerate(prime, 1):
-        wrong = np.flatnonzero(row != _progression_primes(l, x, screen))
-        if wrong.size:
-            raise SelfCheckError(
-                f"sigma identity violated at l = {l}: k = {2 * wrong[0] + 1}")
+        for n, _, hits in _progression_hits(x << l, 2 << l, (1 << l) - 1, screen):
+            j = n >> l + 1  # n = 2^l*(2j + 1) - 1
+            wrong = np.flatnonzero(row[j : j + hits.size] != hits)
+            if wrong.size:
+                raise SelfCheckError(f"sigma identity violated at l = {l}: "
+                                     f"k = {2 * (j + wrong[0]) + 1}")
     probable = _test_survivors(prime, x, allow_probable)
     terms = tuple((l, int(np.count_nonzero(row)))
                   for l, row in enumerate(prime[:L], 1))

@@ -61,6 +61,16 @@ def pi_prefix(limit, q, a):
     return np.cumsum(marks, dtype=np.int64)
 
 
+def class_row(l, x, screen):
+    """Route 2's row l: flag j when _progression_hits, sieving the class
+    2^l - 1 mod 2^(l+1) to 2^l*x with the odd primes of screen, keeps its
+    member 2^l*(2j + 1) - 1, for each odd 2j + 1 <= x."""
+    keep = np.zeros((x + 1) // 2, dtype=bool)
+    for n, _, hits in census._progression_hits(x << l, 2 << l, (1 << l) - 1, screen):
+        keep[n >> l + 1 : (n >> l + 1) + hits.size] = hits
+    return keep
+
+
 def strided_row(m, x, primes):
     """Row m of the census sieve by one strided slice per prime, the loop
     both census routes ran for every prime before few-hit primes struck in
@@ -163,7 +173,7 @@ class TestSigma:
             for x in (1, 2, 5, 100, 1001):
                 screen = primes[primes <= max(bound, x)]
                 for l in range(1, 12):
-                    keep = census._progression_primes(l, x, screen)
+                    keep = class_row(l, x, screen)
                     root = math.isqrt(x << l)
                     if root <= max(bound, x):
                         assert np.count_nonzero(keep) == \
@@ -289,12 +299,17 @@ class TestPiCount:
         limit = len(SHAPE_FLAGS) - 1
         naive = np.cumsum([f and (n - a) % q == 0 for n, f in enumerate(SHAPE_FLAGS)])
         monkeypatch.setattr(census, "SEGMENT_SIZE", segment)
-        prefix = pi_prefix(limit, q, a)
-        assert np.array_equal(prefix, naive)
-        for x in (0, 2, 100, q - 1, q, q + 1, limit):
-            assert pi_count(x, q, a) == naive[x], x
-        if primes is not None:
-            assert np.flatnonzero(np.diff(prefix, prepend=0)).tolist() == primes
+        # FEW_HITS = 1: every p below a segment's size strides; 16, the
+        # default; past every segment's size: every p strikes in passes.  At
+        # segment = 5 each p's next hit after the passes carries across edges.
+        for few in (1, 16, len(SHAPE_FLAGS)):
+            monkeypatch.setattr(census, "FEW_HITS", few)
+            prefix = pi_prefix(limit, q, a)
+            assert np.array_equal(prefix, naive), few
+            for x in (0, 2, 100, q - 1, q, q + 1, limit):
+                assert pi_count(x, q, a) == naive[x], (few, x)
+            if primes is not None:
+                assert np.flatnonzero(np.diff(prefix, prepend=0)).tolist() == primes
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -716,14 +731,14 @@ class TestCensusTable:
         # route 2 is a sieve alone: past SIEVE_BOUND^2 it is compared with
         # the table's sieve before the table's survivors are tested
         asked = []
-        is_prime, route = arith.is_prime, census._progression_primes
+        is_prime, route = arith.is_prime, census._progression_hits
 
         def counted_route(*args, **kwargs):
             with monkeypatch.context() as patch:
                 patch.setattr(arith, "is_prime", lambda n: asked.append(n) or is_prime(n))
-                return route(*args, **kwargs)
+                yield from route(*args, **kwargs)
 
-        monkeypatch.setattr(census, "_progression_primes", counted_route)
+        monkeypatch.setattr(census, "_progression_hits", counted_route)
         density_report(x, eps)
         assert asked == []
 
@@ -817,6 +832,28 @@ class TestCensusTable:
                            match=f"sigma identity violated at l = {l}: k = {k}$"):
             density_report(x, eps)
 
+    @pytest.mark.parametrize("bound,x,eps,dropped,l,k", [
+        (census.SIEVE_BOUND, 1000, 1, 3, 1, 5),
+        (census.SIEVE_BOUND, 1000, 1, 101, 4, 827),
+        (2**5, 1001, 3, 997, 13, 937),
+        (census.SIEVE_BOUND, 2501, 1, 1609, 11, 2419),
+    ], ids=["3-1-5", "101-4-827", "997-13-937", "1609-11-2419"])
+    def test_planted_screen_fault_breaks_sigma(self, monkeypatch, bound, x, eps,
+                                               dropped, l, k):
+        # The converse: a prime lost from route 2's screen (arith's sieve)
+        # leaves 2^l*k - 1 = dropped*(cofactor) in route 2 alone, at the same
+        # (l, k), while the table, sieved by _prime_flags, does not move.
+        monkeypatch.setattr(census, "SIEVE_BOUND", bound)
+        table = census._prime_table(x, arith.max_m_leq(Fraction(eps), x))
+        sieve = arith._sieve_upto
+        monkeypatch.setattr(arith, "_sieve_upto",
+                            lambda limit: tuple(p for p in sieve(limit) if p != dropped))
+        with pytest.raises(ArithmeticError,
+                           match=f"sigma identity violated at l = {l}: k = {k}$"):
+            density_report(x, eps)
+        assert np.array_equal(
+            census._prime_table(x, arith.max_m_leq(Fraction(eps), x)), table)
+
     @pytest.mark.parametrize("x,eps,lost,gained", [
         (100, 1, 1, 2),     # rows the screen decides exactly
         (2000, 2, 14, 15),  # values near 2^25: decided exactly too
@@ -847,7 +884,7 @@ class TestCensusTable:
             assert 100 * table_bytes(x, eps) < census.TABLE_BYTES_MAX
         assert table_bytes(10**9, 1) > census.TABLE_BYTES_MAX
         # refused before the second route runs
-        monkeypatch.setattr(census, "_progression_primes", None)
+        monkeypatch.setattr(census, "_progression_hits", None)
         with pytest.raises(DomainError, match="over the budget"):
             density_report(10**9, 1)
         with pytest.raises(DomainError, match="over the budget"):
@@ -912,8 +949,7 @@ class TestCensusTable:
             prime = census._prime_table(x, 24)
             for m, row in enumerate(expected, 1):
                 assert prime[m - 1].tolist() == row.tolist(), (few, m)
-                keep = census._progression_primes(m, x, screen)
-                assert keep.tolist() == row.tolist(), (few, m)
+                assert class_row(m, x, screen).tolist() == row.tolist(), (few, m)
 
     def test_table_holds_no_strike_index(self):
         # (10^5, 16): 16 rows of 50 000 odd k, 0.8 MB, struck by up to 7 922
@@ -932,7 +968,7 @@ class TestCensusTable:
         screen = np.array(arith._sieve_upto(census.SIEVE_BOUND)[1:])
         tracemalloc.start()
         try:
-            keep = census._progression_primes(15, 10**5, screen)
+            keep = class_row(15, 10**5, screen)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -328,9 +328,9 @@ class TestErrorExits:
         def no_table(limit):
             raise AssertionError("a table was built past the budget")
 
-        # at the x cap the sieve holds the base flags, the base primes and
-        # their inverses as int64 (fewer than isqrt(x) of each) and one
-        # segment of SEGMENT_SIZE flags, tenfold of which stays under budget
+        # at the x cap the sieve holds the base flags, a few int64 arrays
+        # with one entry per base prime (fewer than isqrt(x)/8 of them) and
+        # one segment of SEGMENT_SIZE flags, tenfold of which stays under budget
         root = math.isqrt(census.PI_MAX_X)
         assert 10 * (root + 1 + 2 * 8 * root + census.SEGMENT_SIZE) < census.TABLE_BYTES_MAX
         monkeypatch.setattr(census, "_prime_flags", no_table)
