@@ -7,23 +7,22 @@ closed form and by Gauss-Legendre quadrature, with its Riemann-sum
 sandwich.  Exponent-window edges are decided by exact integer powers:
 with epsilon = num/den, m <= epsilon*log2(k) is 2^(m*den) <= k^num.
 
-A census, density_report, sieves one table of flags for 2^m*k - 1
-(_prime_table), its one table-sized array, and checks it row by row, by the
-sigma identity, against pi's own sieve of the class 2^l - 1 mod 2^(l+1) to
-2^l*x, _progression_hits, segment by segment.  The two share no prime list,
-inverse or strike code: the table sieves with _prime_flags, carries 2^-m
-from row to row and spares each p's own k; the class sieve takes the odd
+A census, density_report, takes the rows of flags for 2^m*k - 1 one at a
+time from _prime_rows and holds no table: _census_flags checks each row, by
+the sigma identity, against pi's own sieve of the class 2^l - 1 mod 2^(l+1)
+to 2^l*x, _progression_hits, segment by segment, tests the survivors of a
+row whose values pass the sieve bound's square once each, and adds the row
+into the pi terms, S, N's and M's flags.  The two sieves share no prime
+list, inverse or strike code: the rows sieve with _prime_flags, carry 2^-m
+from row to row and spare each p's own k; the class sieve takes the odd
 primes of arith's bytearray sieve, raises (p + 1)/2 to its power afresh and
 strikes from p^2.  Both sieve with the odd primes to max(SIEVE_BOUND, x),
 exact on each row whose values stay within that bound's square, as all do
-at epsilon <= 1; past it they are compared survivor by survivor, and only
-then does _test_survivors test each survivor once.  The first k whose flags
-differ names the fault; arith's test is covered by test_arith.  S, sum S^2,
-N, M, M' and the certified flag reduce the tested table and its short list
-of probable primes.  pi_count sieves only the odd members of its class,
-psi's smallest-prime-factor route only the members of its own; psi's other
-route reads pi's sieve, checking it, and the two share no table.
-Past TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
+at epsilon <= 1.  The first k whose flags differ names the fault; arith's
+test is covered by test_arith.  pi_count sieves only the odd members of its
+class, psi's smallest-prime-factor route only the members of its own; psi's
+other route reads pi's sieve, checking it, and the two share no table.
+Past ROWS_MAX, TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
 With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
@@ -57,7 +56,8 @@ SIEVE_BOUND = 1 << 17
 # times (p*FEW_HITS >= its length) strikes in vectorised passes, not by its
 # own strided slice
 FEW_HITS = 16
-TABLE_BYTES_MAX = 1 << 27  # bytes: _prime_table (rows*(x+1)//2)
+TABLE_BYTES_MAX = 1 << 27  # bytes: the flags a census sieves, rows*(x+1)//2
+ROWS_MAX = 1 << 10  # census rows; a row past max(SIEVE_BOUND, x)^2 tests each survivor
 GAUSS_POINTS = 20  # Gauss-Legendre nodes per I_quadrature panel
 
 
@@ -119,11 +119,11 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
-# --- the census table -------------------------------------------------------
+# --- the census rows ---------------------------------------------------------
 
 
-def _prime_table(x, rows):
-    """prime[m-1, j] for m = 1..rows and odd k = 2j + 1 <= x
+def _prime_rows(x, rows):
+    """Rows m = 1..rows, each a fresh array: flag j for odd k = 2j + 1 <= x
     unless an odd prime p <= min(isqrt(2^m*x), bound) divides 2^m*k - 1 other
     than as itself, bound = max(SIEVE_BOUND, x): the primes in each row whose
     values stay within bound^2, the sieve's survivors in the rows past it.
@@ -134,11 +134,6 @@ def _prime_table(x, rows):
     each larger p with i*p below it, all in one index.
     """
     nk = (x + 1) // 2
-    if rows * nk > TABLE_BYTES_MAX:
-        raise DomainError(f"census table for x = {x} needs {rows * nk} "
-                          f"bytes, over the budget of {TABLE_BYTES_MAX}")
-    prime = np.ones((rows, nk), dtype=bool)
-    prime[:1, :1] = False  # 2*1 - 1 = 1
     bound = max(SIEVE_BOUND, x)
     top = min(math.isqrt(x << rows), bound)
     primes = np.flatnonzero(_prime_flags(top))[1:]
@@ -149,9 +144,9 @@ def _prime_table(x, rows):
         p = primes[: np.searchsorted(primes, math.isqrt(x << m), side="right")]
         j = (inv[: p.size] - 1) * half[: p.size] % p  # k = 2j + 1 = 2^-m (mod p)
         # 2^m*k - 1 = p needs 2^m <= p + 1, so the shift cannot overflow
-        own = ((2 * j + 1) << min(m, bound.bit_length())) == p + 1
-        j += p * own
-        row = prime[m - 1]
+        j += p * (((2 * j + 1) << min(m, bound.bit_length())) == p + 1)
+        row = np.ones(nk, dtype=bool)
+        row[:1] = m > 1  # 2*1 - 1 = 1
         small = int(np.searchsorted(p, -(-nk // FEW_HITS)))
         for start, step in zip(j[:small].tolist(), p[:small].tolist()):
             row[start::step] = False
@@ -159,38 +154,53 @@ def _prime_table(x, rows):
             end = np.searchsorted(p, -(-nk // i)) if i else p.size
             hit = j[small:end] + i * p[small:end]
             row[hit[hit < nk]] = False
-    return prime
+        yield row
 
 
-def _test_survivors(prime, x, allow_probable):
-    """Test each sieve survivor of the rows of prime whose values pass
-    max(SIEVE_BOUND, x)^2, once, keeping the ones that count as prime;
-    returns the (m-1, j) counted only as probable primes."""
-    probable = []
-    for m, row in enumerate(prime, 1):
-        if math.isqrt(x << m) > max(SIEVE_BOUND, x):
+def _census_flags(x, epsilon, L, allow_probable):
+    """One pass over rows m = 1..L + 1 of _prime_rows, each checked against
+    route 2, its survivors tested past max(SIEVE_BOUND, x)^2, then folded in:
+    returns (pi terms, S(k, L) per odd k, N's flags, M's flags, certified)."""
+    num, den = epsilon.numerator, epsilon.denominator
+    nk, bound = (x + 1) // 2, max(SIEVE_BOUND, x)
+    # N's window, m < epsilon*log2(x), lacks row L + 1 if x^num = 2^((L+1)*den)
+    n_rows = L + (x**num != 1 << (L + 1) * den)
+    # route 2's odd primes, to the largest root any of its rows needs; it
+    # checks every row, as N reads row L + 1 and M every row
+    screen = arith._sieve_upto(min(bound, math.isqrt(x << (L + 1))))
+    screen = np.array(screen[1:], dtype=np.int64)
+    terms, certified = [], True
+    S = np.zeros(nk, dtype=np.min_scalar_type(L))
+    flags_n, flags_m = np.zeros(nk, dtype=bool), np.zeros(nk, dtype=bool)
+    for m, row in enumerate(_prime_rows(x, L + 1), 1):
+        for n, _, hits in _progression_hits(x << m, 2 << m, (1 << m) - 1, screen):
+            j = n >> m + 1  # n = 2^m*(2j + 1) - 1
+            wrong = np.flatnonzero(row[j : j + hits.size] != hits)
+            if wrong.size:
+                raise SelfCheckError(f"sigma identity violated at l = {m}: "
+                                     f"k = {2 * (j + wrong[0]) + 1}")
+        if math.isqrt(x << m) > bound:
             for j in np.flatnonzero(row).tolist():
                 r = arith.is_prime(((2 * j + 1) << m) - 1)
                 row[j] = r.counts(allow_probable)
-                if row[j] and not r.is_certified:
-                    probable.append((m - 1, j))
-    return probable
-
-
-def _m_window(prime, epsilon):
-    """Flag per odd k = 2j + 1: some counted prime 2^m*k - 1 has m <=
-    epsilon*log2(k).  With epsilon = num/den, row m's window is the odd k
-    from the least k with k^num >= 2^(m*den) on, at index k // 2: the
-    float root, within 1 of it for any x a table holds, made exact by two
-    integer powers."""
-    num, den = epsilon.numerator, epsilon.denominator
-    flags = np.zeros(prime.shape[1], dtype=bool)
-    for m, row in enumerate(prime, 1):
+                # N's rows end at most one row past sigma's, so past row L a
+                # probable prime matters only as k's first.  M needs no clause:
+                # a row past N's is in k's M window only for k = x, a power of 2.
+                if row[j] and not r.is_certified and (
+                        m <= L or m <= n_rows and not flags_n[j]):
+                    certified = False
+        if m <= L:
+            terms.append((m, int(np.count_nonzero(row))))
+            S += row
+        if m <= n_rows:
+            flags_n |= row
+        # M's window in row m: the odd k from the least with k^num >= 2^(m*den),
+        # the float root, within 1 of it for any x a census takes, made exact
         k, power = math.ceil(2 ** (m * den / num)), 1 << m * den
         k += k**num < power
         k -= (k - 1) ** num >= power
-        flags[k // 2 :] |= row[k // 2 :]
-    return flags
+        flags_m[k // 2 :] |= row[k // 2 :]
+    return tuple(terms), S, flags_n, flags_m, certified
 
 
 def _closure_count(flags):
@@ -404,47 +414,27 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     L = arith.max_m_leq(epsilon, x) - 1
     if L < 1:
         raise WindowError(f"empty window: L = {L} for x = {x}, epsilon = {epsilon}")
-    prime = _prime_table(x, L + 1)
-    # route 2's odd primes, to the largest root any of its rows needs; it
-    # checks every row, as N reads row L + 1 and M every row
-    screen = arith._sieve_upto(min(max(SIEVE_BOUND, x), math.isqrt(x << (L + 1))))
-    screen = np.array(screen[1:], dtype=np.int64)
-    for l, row in enumerate(prime, 1):
-        for n, _, hits in _progression_hits(x << l, 2 << l, (1 << l) - 1, screen):
-            j = n >> l + 1  # n = 2^l*(2j + 1) - 1
-            wrong = np.flatnonzero(row[j : j + hits.size] != hits)
-            if wrong.size:
-                raise SelfCheckError(f"sigma identity violated at l = {l}: "
-                                     f"k = {2 * (j + wrong[0]) + 1}")
-    probable = _test_survivors(prime, x, allow_probable)
-    terms = tuple((l, int(np.count_nonzero(row)))
-                  for l, row in enumerate(prime[:L], 1))
-    S = prime[:L].sum(axis=0, dtype=np.min_scalar_type(L))
-    counts = [int(np.count_nonzero(S == s)) for s in range(L + 1)]  # S(k, L) = s
+    if (size := (L + 1) * ((x + 1) // 2)) > TABLE_BYTES_MAX:
+        raise DomainError(f"census table for x = {x} needs {size} "
+                          f"bytes, over the budget of {TABLE_BYTES_MAX}")
+    if L + 1 > ROWS_MAX:
+        raise DomainError(f"census for x = {x} needs {L + 1} rows, over the cap of {ROWS_MAX}")
+    terms, S, flags_n, flags_m, certified = _census_flags(x, epsilon, L, allow_probable)
+    counts = np.bincount(S, minlength=L + 1).tolist()  # S(k, L) = s
     s_sum = sum(s * c for s, c in enumerate(counts))
     s_sq = sum(s * s * c for s, c in enumerate(counts))
-    flags_m = _m_window(prime, epsilon)
-    # N's window, m < epsilon*log2(x), lacks row L + 1 if x^num = 2^((L+1)*den)
-    n_rows = L + (x**epsilon.numerator != 1 << (L + 1) * epsilon.denominator)
-    m_count = int(flags_m.sum())
-    cs = Fraction(s_sum * s_sum, s_sq) if s_sq else Fraction(0)
+    m_count = int(np.count_nonzero(flags_m))
     return CensusReport(
         params=CensusParams(x, epsilon, L),
         sigma=s_sum,
         pi_terms=terms,
         sum_S_squared=s_sq,
-        N=int(prime[:n_rows].any(axis=0).sum()),
+        N=int(np.count_nonzero(flags_n)),
         M=m_count,
         M_prime=_closure_count(flags_m),
         H_lower=1 + m_count,
-        cs_lower_bound=cs,
+        cs_lower_bound=Fraction(s_sum * s_sum, s_sq) if s_sq else Fraction(0),
         upper_curve=2 * x * math.log2(1 + float(epsilon)),
-        # N's rows end at most one row past sigma's, the rows below L: so
-        # once no probable prime lies below L, a k that N counts only
-        # through probable primes has one with no prime before it.  M needs
-        # no clause: a row m past N's in k's M window needs k^num >=
-        # 2^(m*den) >= x^num, so k = x and x^num is a power of 2: x is even.
-        certified=not any(
-            r < L or (r < n_rows and not prime[:r, c].any()) for r, c in probable),
+        certified=certified,
         degenerate_flags=() if s_sq else ("cs_lower_bound_zero_denominator",),
     )

@@ -184,9 +184,7 @@ def test_09_cross_module_consistency(verdict):
     ok = True
     empty = []
     for eps in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        prime = census._prime_table(x, arith.max_m_leq(eps, x))
-        census._test_survivors(prime, x, True)
-        census_flags = census._m_window(prime, eps)
+        census_flags = census._census_flags(x, eps, arith.max_m_leq(eps, x) - 1, True)[3]
         solver_flags = [
             solver.find_m(k, eps).found_m is not None
             for k in range(1, x + 1, 2)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -93,16 +94,28 @@ def S_count(k, L, allow_probable=True):
                for l in range(1, L + 1))
 
 
-def sieved_and_tested(x, eps, allow_probable=True):
-    """(prime, probable): the census table sieved, then its survivors tested,
-    as density_report builds it around the sigma check."""
-    prime = census._prime_table(x, arith.max_m_leq(Fraction(eps), x))
-    return prime, census._test_survivors(prime, x, allow_probable)
+def sieve_rows(x, eps):
+    """The census's sieved rows for (x, eps), stacked into the table that
+    density_report never holds."""
+    return np.array(list(census._prime_rows(x, arith.max_m_leq(Fraction(eps), x))))
 
 
 def m_window(x, eps, allow_probable=True):
-    """M's flag per odd k <= x from one census table."""
-    return census._m_window(sieved_and_tested(x, eps, allow_probable)[0], Fraction(eps))
+    """M's flag per odd k <= x from one census pass."""
+    eps = Fraction(eps)
+    return census._census_flags(x, eps, arith.max_m_leq(eps, x) - 1, allow_probable)[3]
+
+
+def plant_row_fault(monkeypatch, fault):
+    """Pass each row m of the census through fault(m, row) as it is yielded."""
+    rows = census._prime_rows
+
+    def faulty(x, count):
+        for m, row in enumerate(rows(x, count), 1):
+            fault(m, row)
+            yield row
+
+    monkeypatch.setattr(census, "_prime_rows", faulty)
 
 
 NAIVE_LIMIT = 600  # test_matches_naive_count draws x up to it
@@ -753,17 +766,19 @@ class TestCensusTable:
         assert asked == []
         assert census.SIEVE_BOUND < 131073
 
-    def test_composites_past_the_sieve_bound_are_rejected(self):
+    def test_composites_past_the_sieve_bound_are_rejected(self, monkeypatch):
         # 2^m*k - 1 = p*q with both factors above the sieve bound (here
         # SIEVE_BOUND > x): the sieve cannot cross these out, only the
-        # survivor test can
+        # survivor test can, on the row the census folds in
         B = census.SIEVE_BOUND
         cases = [(30, 2583, 1939169, 1430239), (30, 2657, 1234241, 2311487),
                  (31, 1485, 1357009, 2350031), (31, 1531, 1598827, 2056381)]
-        prime, _ = sieved_and_tested(2657, 3)
+        rows = {}
+        plant_row_fault(monkeypatch, rows.__setitem__)  # keeps each row, faults none
+        density_report(2657, 3)
         for m, k, p, q in cases:
             assert (k << m) - 1 == p * q and min(p, q) > B
-            assert not prime[m - 1, (k - 1) // 2], (m, k)
+            assert not rows[m][(k - 1) // 2], (m, k)
 
     def test_closure_matches_ascending_divisor_scan(self):
         rng = np.random.default_rng(11)
@@ -792,14 +807,11 @@ class TestCensusTable:
         (1001, 3, 25, 999),  # value near 2^35: sieve survivors, tested later
     ])
     def test_planted_table_fault_breaks_sigma(self, monkeypatch, x, eps, m, k):
-        build = census._prime_table
+        def fault(row_m, row):
+            if row_m == m:
+                row[(k - 1) // 2] ^= True
 
-        def faulty(*args):
-            prime = build(*args)
-            prime[m - 1, (k - 1) // 2] ^= True
-            return prime
-
-        monkeypatch.setattr(census, "_prime_table", faulty)
+        plant_row_fault(monkeypatch, fault)
         with pytest.raises(ArithmeticError, match="sigma identity") as error:
             density_report(x, eps)
         assert str(error.value) == f"sigma identity violated at l = {m}: k = {k}"
@@ -842,17 +854,16 @@ class TestCensusTable:
                                                dropped, l, k):
         # The converse: a prime lost from route 2's screen (arith's sieve)
         # leaves 2^l*k - 1 = dropped*(cofactor) in route 2 alone, at the same
-        # (l, k), while the table, sieved by _prime_flags, does not move.
+        # (l, k), while the rows, sieved by _prime_flags, do not move.
         monkeypatch.setattr(census, "SIEVE_BOUND", bound)
-        table = census._prime_table(x, arith.max_m_leq(Fraction(eps), x))
+        table = sieve_rows(x, eps)
         sieve = arith._sieve_upto
         monkeypatch.setattr(arith, "_sieve_upto",
                             lambda limit: tuple(p for p in sieve(limit) if p != dropped))
         with pytest.raises(ArithmeticError,
                            match=f"sigma identity violated at l = {l}: k = {k}$"):
             density_report(x, eps)
-        assert np.array_equal(
-            census._prime_table(x, arith.max_m_leq(Fraction(eps), x)), table)
+        assert np.array_equal(sieve_rows(x, eps), table)
 
     @pytest.mark.parametrize("x,eps,lost,gained", [
         (100, 1, 1, 2),     # rows the screen decides exactly
@@ -863,40 +874,57 @@ class TestCensusTable:
                                                    lost, gained):
         # One prime moved from row `lost` to row `gained`: the sum over l
         # still matches, so only the per-l comparison can see it.
-        build = census._prime_table
+        def fault(m, row):
+            if m == lost:
+                row[np.flatnonzero(row)[0]] = False
+            if m == gained:
+                row[np.flatnonzero(~row)[0]] = True
 
-        def faulty(*args):
-            prime = build(*args)
-            prime[lost - 1, np.flatnonzero(prime[lost - 1])[0]] = False
-            prime[gained - 1, np.flatnonzero(~prime[gained - 1])[0]] = True
-            return prime
-
-        monkeypatch.setattr(census, "_prime_table", faulty)
+        plant_row_fault(monkeypatch, fault)
         with pytest.raises(ArithmeticError, match=f"sigma identity violated at l = {lost}:"):
             density_report(x, eps)
 
     def test_table_budget(self, monkeypatch):
-        def table_bytes(x, eps):  # one bool per row and odd k: the one table
+        def table_bytes(x, eps):  # one bool per row and odd k: the flags sieved
             return arith.max_m_leq(Fraction(eps), x) * ((x + 1) // 2)
 
         # the benchmark's census sizes stay far below the budget
         for x, eps in ((10**5 + 1000, 1), (10**4 + 1000, 5)):
             assert 100 * table_bytes(x, eps) < census.TABLE_BYTES_MAX
         assert table_bytes(10**9, 1) > census.TABLE_BYTES_MAX
-        # refused before the second route runs
-        monkeypatch.setattr(census, "_progression_hits", None)
-        with pytest.raises(DomainError, match="over the budget"):
-            density_report(10**9, 1)
-        with pytest.raises(DomainError, match="over the budget"):
-            census._prime_table(10**9, 29)
+        # refused before a row is sieved or route 2's screen is built
+        with monkeypatch.context() as patch:
+            for name in ("_prime_rows", "_progression_hits"):
+                patch.setattr(census, name, None)
+            patch.setattr(arith, "_sieve_upto", None)
+            with pytest.raises(DomainError, match="over the budget"):
+                density_report(10**9, 1)
         # the budget is exact: 9 rows of 500 odd k take 4 500 bytes
         assert table_bytes(1000, 1) == 4500
         monkeypatch.setattr(census, "TABLE_BYTES_MAX", 4500)
-        assert census._prime_table(1000, 9).nbytes == 4500
+        assert sum(row.nbytes for row in census._prime_rows(1000, 9)) == 4500
+        assert density_report(1000, 1).params.L == 8
         monkeypatch.setattr(census, "TABLE_BYTES_MAX", 4499)
         with pytest.raises(DomainError, match="^census table for x = 1000 needs 4500 "
                                               "bytes, over the budget of 4499$"):
-            census._prime_table(1000, 9)
+            density_report(1000, 1)
+
+    @pytest.mark.parametrize("x,eps", [(10**4, 1), (837, Fraction(17, 3))])
+    def test_census_holds_one_row(self, monkeypatch, x, eps):
+        # every row is freed by the time the row two past it is yielded: the
+        # census folds each row in and holds no table
+        rows, refs = census._prime_rows, []
+
+        def watched(x, count):
+            for row in rows(x, count):
+                refs.append(weakref.ref(row))
+                if len(refs) > 2:
+                    assert refs[-3]() is None, f"row {len(refs) - 2} outlived row {len(refs)}"
+                yield row
+
+        monkeypatch.setattr(census, "_prime_rows", watched)
+        report = density_report(x, eps)
+        assert len(refs) == report.params.L + 1
 
     @given(st.integers(min_value=2, max_value=5000),
            st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
@@ -906,30 +934,48 @@ class TestCensusTable:
     @example(1024, 1, 2, 3)  # m = 4: k >= 2^8, an exact power
     @settings(max_examples=200, deadline=None)
     def test_m_window_starts_at_the_least_k(self, x, num, den, pick):
-        # For a table whose only true row is m, M's flags start at the least
+        # For rows of which only row m is true, M's flags start at the least
         # odd k with k^num >= 2^(m*den), found here by exact powers alone.
+        # Route 2 yields nothing to compare, and every value counts as prime.
         eps = Fraction(num, den)
         rows = arith.max_m_leq(eps, x)
         assume(rows >= 1)
         m = 1 + pick % rows
-        prime = np.zeros((rows, (x + 1) // 2), dtype=bool)
-        prime[m - 1] = True
+        nk = (x + 1) // 2
+        prime, seven = (np.full(nk, r == m) for r in range(1, rows + 1)), arith.is_prime(7)
         power = 1 << m * eps.denominator
         first = bisect_left(range(1, x + 1, 2), True,
                             key=lambda k: k**eps.numerator >= power)
-        assert census._m_window(prime, eps).tolist() == [
-            j >= first for j in range(prime.shape[1])]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(census, "_prime_rows", lambda x, count: prime)
+            patch.setattr(census, "_progression_hits", lambda *args: iter(()))
+            patch.setattr(arith, "is_prime", lambda n: seven)
+            flags = census._census_flags(x, eps, rows - 1, True)[3]
+        assert flags.tolist() == [j >= first for j in range(nk)]
 
-    def test_m_window_holds_no_table_sized_array(self):
-        # (10^5, 1): 16 rows of 50 000 odd k, 0.8 MB; M's flags take 50 KB
-        prime, _ = sieved_and_tested(10**5, 1)
-        tracemalloc.start()
+    def test_m_window_holds_no_table_sized_array(self, monkeypatch):
+        # (10^5, 1): 16 rows of 50 000 odd k, 0.8 MB.  With the rows and route
+        # 2's segments made beforehand, what the census allocates from its
+        # first row on, M's window among it, stays under a quarter of that.
+        x, rows = 10**5, 16
+        table = list(census._prime_rows(x, rows))
+        screen = np.array(arith._sieve_upto(math.isqrt(x << rows))[1:])
+        segments = {2 << m: list(census._progression_hits(x << m, 2 << m, (1 << m) - 1, screen))
+                    for m in range(1, rows + 1)}
+
+        def replay(x, count):
+            tracemalloc.start()
+            yield from table
+
+        monkeypatch.setattr(census, "_prime_rows", replay)
+        monkeypatch.setattr(census, "_progression_hits",
+                            lambda limit, q, a, primes: iter(segments[q]))
         try:
-            census._m_window(prime, Fraction(1))
+            census._census_flags(x, Fraction(1), rows - 1, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < prime.nbytes // 4
+        assert peak < sum(row.nbytes for row in table) // 4
 
     @pytest.mark.parametrize("x", [3229, 3231, 3233])
     def test_few_hit_passes_match_strided_loop(self, x, monkeypatch):
@@ -946,21 +992,22 @@ class TestCensusTable:
         expected = [strided_row(m, x, screen) for m in range(1, 25)]
         for few in (1, 2, 9, census.FEW_HITS, nk):
             monkeypatch.setattr(census, "FEW_HITS", few)
-            prime = census._prime_table(x, 24)
+            prime = np.array(list(census._prime_rows(x, 24)))
             for m, row in enumerate(expected, 1):
                 assert prime[m - 1].tolist() == row.tolist(), (few, m)
                 assert class_row(m, x, screen).tolist() == row.tolist(), (few, m)
 
     def test_table_holds_no_strike_index(self):
-        # (10^5, 16): 16 rows of 50 000 odd k, 0.8 MB, struck by up to 7 922
-        # odd primes; an index of every strike would take several MB
+        # (10^5, 16): 16 rows of 50 000 odd k, struck by up to 7 922 odd
+        # primes; an index of every strike would take several MB
         tracemalloc.start()
         try:
-            prime = census._prime_table(10**5, 16)
+            for _ in census._prime_rows(10**5, 16):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - prime.nbytes < 1 << 20
+        assert peak < 1 << 20
 
     def test_progression_route_holds_no_strike_index(self):
         # 5 800 screening primes over 50 000 odd k: an index of every strike

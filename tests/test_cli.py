@@ -186,14 +186,15 @@ class TestCensus:
         assert err == f"I/O error: [Errno 2] No such file or directory: {str(path)!r}\n"
 
     def test_planted_table_fault_fails_the_check(self, monkeypatch, capsys):
-        build = census._prime_table
+        rows = census._prime_rows
 
         def faulty(*args):
-            prime = build(*args)
-            prime[0, 1] = False  # 2*3 - 1 = 5
-            return prime
+            for m, row in enumerate(rows(*args), 1):
+                if m == 1:
+                    row[1] = False  # 2*3 - 1 = 5
+                yield row
 
-        monkeypatch.setattr(census, "_prime_table", faulty)
+        monkeypatch.setattr(census, "_prime_rows", faulty)
         code, out, err = run(["census", "--x", "100", "--epsilon", "1"], capsys)
         assert (code, out) == (EXIT_NOT_HADAMARD, "")
         assert err == "check failed: sigma identity violated at l = 1: k = 3\n"
@@ -314,6 +315,12 @@ class TestErrorExits:
         (["search", "--k", "1", "--epsilon", "0"], "domain error: epsilon must be positive"),
         (["search", "--k", "1", "--epsilon", "1e300"],
          "domain error: epsilon too large: k^numerator over 262144 bits"),
+        # 2 060 and 158 496 rows, all but the first 32 testing their
+        # survivors past 2^34: over the row cap, refused before any is sieved
+        (["census", "--x", "3", "--epsilon", "1300"],
+         "domain error: census for x = 3 needs 2060 rows, over the cap of 1024"),
+        (["census", "--x", "3", "--epsilon", "100000"],
+         "domain error: census for x = 3 needs 158496 rows, over the cap of 1024"),
     ])
     def test_bad_argument_exits_with_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
