@@ -12,16 +12,16 @@ time from _prime_rows and holds no table: _census_flags checks each row, by
 the sigma identity, against pi's own sieve of the class 2^l - 1 mod 2^(l+1)
 to 2^l*x, _progression_hits, segment by segment, tests the survivors of a
 row whose values pass the sieve bound's square once each, and adds the row
-into the pi terms, S, N's and M's flags.  The two sieves share no prime
-list, inverse or strike code: the rows sieve with _prime_flags, carry 2^-m
-from row to row and spare each p's own k; the class sieve takes the odd
-primes of arith's bytearray sieve, raises (p + 1)/2 to its power afresh and
-strikes from p^2.  Both sieve with the odd primes to max(SIEVE_BOUND, x),
-exact on each row whose values stay within that bound's square, as all do
-at epsilon <= 1.  The first k whose flags differ names the fault; arith's
-test is covered by test_arith.  pi_count sieves only the odd members of its
-class, psi's smallest-prime-factor route only the members of its own; psi's
-other route reads pi's sieve, checking it, and the two share no table.
+into the pi terms, S and M's flags; N and the sum of S^2 reduce S.  The two
+sieves share no prime list, inverse or strike code: the rows sieve with
+_prime_flags, carry 2^-m from row to row and spare each p's own k; the class
+sieve takes the odd primes of arith's bytearray sieve, raises (p + 1)/2 to
+its power afresh and strikes from p^2.  Both sieve with the odd primes to
+max(SIEVE_BOUND, x), exact on each row whose values stay within its square,
+as all do at epsilon <= 1.  The first k whose flags differ names the fault;
+arith's test is covered by test_arith.  pi_count sieves only the odd members
+of its class, psi's smallest-prime-factor route only the members of its own;
+psi's other route reads pi's sieve, checking it, and the two share no table.
 Past ROWS_MAX, TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
@@ -160,7 +160,7 @@ def _prime_rows(x, rows):
 def _census_flags(x, epsilon, L, allow_probable):
     """One pass over rows m = 1..L + 1 of _prime_rows, each checked against
     route 2, its survivors tested past max(SIEVE_BOUND, x)^2, then folded in:
-    returns (pi terms, S(k, L) per odd k, N's flags, M's flags, certified)."""
+    returns (pi terms, S(k, L) per odd k, N, M's flags, certified)."""
     num, den = epsilon.numerator, epsilon.denominator
     nk, bound = (x + 1) // 2, max(SIEVE_BOUND, x)
     # N's window, m < epsilon*log2(x), lacks row L + 1 if x^num = 2^((L+1)*den)
@@ -171,7 +171,7 @@ def _census_flags(x, epsilon, L, allow_probable):
     screen = np.array(screen[1:], dtype=np.int64)
     terms, certified = [], True
     S = np.zeros(nk, dtype=np.min_scalar_type(L))
-    flags_n, flags_m = np.zeros(nk, dtype=bool), np.zeros(nk, dtype=bool)
+    flags_m = np.zeros(nk, dtype=bool)
     for m, row in enumerate(_prime_rows(x, L + 1), 1):
         for n, _, hits in _progression_hits(x << m, 2 << m, (1 << m) - 1, screen):
             j = n >> m + 1  # n = 2^m*(2j + 1) - 1
@@ -187,34 +187,34 @@ def _census_flags(x, epsilon, L, allow_probable):
                 # probable prime matters only as k's first.  M needs no clause:
                 # a row past N's is in k's M window only for k = x, a power of 2.
                 if row[j] and not r.is_certified and (
-                        m <= L or m <= n_rows and not flags_n[j]):
+                        m <= L or m <= n_rows and not S[j]):
                     certified = False
         if m <= L:
             terms.append((m, int(np.count_nonzero(row))))
             S += row
-        if m <= n_rows:
-            flags_n |= row
+        else:  # N's k: S(k, L) > 0, or a prime in row L + 1 if N's window has it
+            N = int(np.count_nonzero(S if m > n_rows else S | row))
         # M's window in row m: the odd k from the least with k^num >= 2^(m*den),
         # the float root, within 1 of it for any x a census takes, made exact
         k, power = math.ceil(2 ** (m * den / num)), 1 << m * den
         k += k**num < power
         k -= (k - 1) ** num >= power
         flags_m[k // 2 :] |= row[k // 2 :]
-    return tuple(terms), S, flags_n, flags_m, certified
+    return tuple(terms), S, N, flags_m, certified
 
 
 def _closure_count(flags):
     """Size of the multiplicative closure of the odd k marked in flags
-    (index i for k = 2i + 1, to k = 2*flags.size - 1): products of members
-    are marked until no product adds a member."""
-    has, top = flags.copy(), 2 * flags.size - 1
+    (index i for k = 2i + 1, to k = 2*flags.size - 1), closed in place:
+    products of members are marked until no product adds a member."""
+    top = 2 * flags.size - 1
     while True:
-        before = int(np.count_nonzero(has))
-        for i in np.flatnonzero(has[: (math.isqrt(top) + 1) // 2]).tolist():
+        before = int(np.count_nonzero(flags))
+        for i in np.flatnonzero(flags[: (math.isqrt(top) + 1) // 2]).tolist():
             d = 2 * i + 1
             hi = (top // d - 1) // 2  # d*(2j + 1), at index d*j + i, for j in i..hi
-            has[d * i + i : d * hi + i + 1 : d] |= has[i : hi + 1]
-        if np.count_nonzero(has) == before:
+            flags[d * i + i : d * hi + i + 1 : d] |= flags[i : hi + 1]
+        if np.count_nonzero(flags) == before:
             return before
 
 
@@ -415,21 +415,20 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     if L < 1:
         raise WindowError(f"empty window: L = {L} for x = {x}, epsilon = {epsilon}")
     if (size := (L + 1) * ((x + 1) // 2)) > TABLE_BYTES_MAX:
-        raise DomainError(f"census table for x = {x} needs {size} "
-                          f"bytes, over the budget of {TABLE_BYTES_MAX}")
+        raise DomainError(f"census for x = {x} sieves {size} row flags, "
+                          f"over the budget of {TABLE_BYTES_MAX}")
     if L + 1 > ROWS_MAX:
         raise DomainError(f"census for x = {x} needs {L + 1} rows, over the cap of {ROWS_MAX}")
-    terms, S, flags_n, flags_m, certified = _census_flags(x, epsilon, L, allow_probable)
-    counts = np.bincount(S, minlength=L + 1).tolist()  # S(k, L) = s
-    s_sum = sum(s * c for s, c in enumerate(counts))
-    s_sq = sum(s * s * c for s, c in enumerate(counts))
+    terms, S, N, flags_m, certified = _census_flags(x, epsilon, L, allow_probable)
+    s_sum = sum(c for _, c in terms)  # sigma: the pi terms sum S(k, L)
+    s_sq = sum(s * s * int(np.count_nonzero(S == s)) for s in range(1, L + 1))
     m_count = int(np.count_nonzero(flags_m))
     return CensusReport(
         params=CensusParams(x, epsilon, L),
         sigma=s_sum,
         pi_terms=terms,
         sum_S_squared=s_sq,
-        N=int(np.count_nonzero(flags_n)),
+        N=N,
         M=m_count,
         M_prime=_closure_count(flags_m),
         H_lower=1 + m_count,

@@ -791,11 +791,15 @@ class TestCensusTable:
                 has[k] = has[k] or any(
                     k % d == 0 and has[d] and has[k // d]
                     for d in range(3, math.isqrt(k) + 1, 2))
-            assert census._closure_count(flags) == sum(has.values())
+            # the closure marks flags in place and counts what it marked
+            count = census._closure_count(flags)
+            assert flags.tolist() == [has[k] for k in range(1, x + 1, 2)]
+            assert count == int(np.count_nonzero(flags)) == sum(has.values())
         # powers need more than one round of products
         flags = np.zeros(500, dtype=bool)
         flags[[1]] = True  # {3}: 3, 9, 27, 81, 243, 729
         assert census._closure_count(flags) == 6
+        assert (2 * np.flatnonzero(flags) + 1).tolist() == [3, 9, 27, 81, 243, 729]
         flags[[1, 2, 3]] = True  # {3, 5, 7}: all 3^a 5^b 7^c <= 999
         assert census._closure_count(flags) == sum(
             1 for k in range(1, 1000, 2)
@@ -905,8 +909,8 @@ class TestCensusTable:
         assert sum(row.nbytes for row in census._prime_rows(1000, 9)) == 4500
         assert density_report(1000, 1).params.L == 8
         monkeypatch.setattr(census, "TABLE_BYTES_MAX", 4499)
-        with pytest.raises(DomainError, match="^census table for x = 1000 needs 4500 "
-                                              "bytes, over the budget of 4499$"):
+        with pytest.raises(DomainError, match="^census for x = 1000 sieves 4500 row "
+                                              "flags, over the budget of 4499$"):
             density_report(1000, 1)
 
     @pytest.mark.parametrize("x,eps", [(10**4, 1), (837, Fraction(17, 3))])
@@ -925,6 +929,27 @@ class TestCensusTable:
         monkeypatch.setattr(census, "_prime_rows", watched)
         report = density_report(x, eps)
         assert len(refs) == report.params.L + 1
+
+    def test_no_per_k_copy_after_the_last_row(self, monkeypatch):
+        # once the last row is folded in, N, S's moments, M and the M' closure
+        # are reduced from S and M's flags where they lie: what the census
+        # allocates from there on stays under 2 bytes per odd k (a copy of M's
+        # flags takes 1, an int64 copy of S 8)
+        x, rows, marks = 10**6, census._prime_rows, []
+
+        def watched(x, count):
+            yield from rows(x, count)
+            marks.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+        monkeypatch.setattr(census, "_prime_rows", watched)
+        tracemalloc.start()
+        try:
+            density_report(x, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - marks[0] < 2 * ((x + 1) // 2)
 
     @given(st.integers(min_value=2, max_value=5000),
            st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),

@@ -290,8 +290,8 @@ class TestErrorExits:
         (["psi", "--x", "100000001", "--q", "4", "--a", "1"],
          "domain error: x = 100000001 exceeds the psi limit 100000000"),
         (["census", "--x", "1000000000", "--epsilon", "1"],
-         "domain error: census table for x = 1000000000 needs 14500000000 "
-         "bytes, over the budget of 134217728"),
+         "domain error: census for x = 1000000000 sieves 14500000000 row "
+         "flags, over the budget of 134217728"),
         (["search", "--k", "5", "--epsilon", "1e300"],
          "domain error: epsilon too large: k^numerator over 262144 bits"),
         (["census", "--x", "5", "--epsilon", "1000000000001/1000000000000"],
