@@ -254,9 +254,11 @@ def _progression_hits(limit, q, a, primes=None):
     p = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
     if (odd := period // (period & -period)) > 1:
         p = p[odd % p != 0]  # p | q divides no member
-    first = np.zeros_like(p)  # r mod p, 31 bits at a time from the top
-    for shift in range(r.bit_length() // 31 * 31, -1, -31):
-        first = (first << 31 | r >> shift & (1 << 31) - 1) % p
+    # r mod p, w bits at a time from the top, as wide as first << w < 2^63 allows
+    w = 63 - int(p[-1]).bit_length() if p.size else 62
+    first = np.zeros_like(p)
+    for shift in range(r.bit_length() // w * w, -1, -w):
+        first = (first << w | r >> shift & (1 << w) - 1) % p
     if odd > 1:  # first = -r/period (mod p), the first hit
         inv = np.array([pow(period, -1, d) for d in p.tolist()], dtype=np.int64)
         first = -first * inv % p

@@ -9,14 +9,7 @@ from typing import Optional
 import numpy as np
 
 from . import arith, solver
-from .errors import (
-    DomainError,
-    NoPrimeInRange,
-    NotPrimeError,
-    ResidueClassError,
-    SizeError,
-    UnsupportedFieldError,
-)
+from .errors import DomainError, NoPrimeInRange
 from .matrix import PlusMinusMatrix, extend_by_rotation
 
 MAX_ORDER_DEFAULT = 1 << 16  # largest order any builder materializes
@@ -44,22 +37,20 @@ def _check_paley_prime(q, kind):
     if not arith.is_prime(q):
         factors = arith.factorize(q) if q > 1 else {}
         if len(factors) == 1:
-            raise UnsupportedFieldError(
-                f"{q} is a prime power, not a prime; prime-power Paley "
-                "fields are unsupported"
-            )
-        raise NotPrimeError(f"{q} is not prime")
+            raise DomainError(f"{q} is a prime power, not a prime; "
+                              "prime-power Paley fields are unsupported")
+        raise DomainError(f"{q} is not prime")
     want = 3 if kind == PALEY_I else 1
     if q % 4 != want:
-        raise ResidueClassError(f"{kind} requires q = {want} mod 4, got q = {q}")
+        raise DomainError(f"{kind} requires q = {want} mod 4, got q = {q}")
 
 
 def sylvester(t):
     """Order-2^t Sylvester matrix by recursive doubling."""
     if t < 0:
         raise DomainError("t must be nonnegative")
-    if (1 << t) > MAX_ORDER_DEFAULT:
-        raise SizeError(f"order 2^{t} exceeds max_order {MAX_ORDER_DEFAULT}")
+    if t > MAX_ORDER_DEFAULT.bit_length() - 1:
+        raise DomainError(f"order 2^{t} exceeds max_order {MAX_ORDER_DEFAULT}")
     rows = [0]
     size = 1
     for _ in range(t):
@@ -83,7 +74,7 @@ def _quadratic_character_row(q):
 def paley_I(q):
     """Paley construction I: order q+1 for prime q = 3 mod 4."""
     if q + 1 > MAX_ORDER_DEFAULT:  # before the primality check trial-divides q
-        raise SizeError(f"order {q + 1} exceeds max_order {MAX_ORDER_DEFAULT}")
+        raise DomainError(f"order {q + 1} exceeds max_order {MAX_ORDER_DEFAULT}")
     _check_paley_prime(q, PALEY_I)
     chi = _quadratic_character_row(q)
     # Row 0 all +1; row 1 a +1 border, then -1 on the diagonal and chi(d)
@@ -95,7 +86,7 @@ def paley_II(q):
     """Paley construction II: order 2(q+1) for prime q = 1 mod 4."""
     n = 2 * (q + 1)
     if n > MAX_ORDER_DEFAULT:
-        raise SizeError(f"order {n} exceeds max_order {MAX_ORDER_DEFAULT}")
+        raise DomainError(f"order {n} exceeds max_order {MAX_ORDER_DEFAULT}")
     _check_paley_prime(q, PALEY_II)
     chi = _quadratic_character_row(q)
     # The first two rows of the symmetric conference matrix C of order q+1
@@ -114,7 +105,7 @@ def build_plan(plan: ConstructionPlan) -> PlusMinusMatrix:
         return paley_I(plan.q)
     if plan.kind == PALEY_II:
         return paley_II(plan.q)
-    raise ValueError(f"unknown plan kind {plan.kind!r}")
+    raise DomainError(f"unknown plan kind {plan.kind!r}")
 
 
 def plan_for(k, epsilon, allow_probable=True) -> ConstructionPlan:

@@ -5,22 +5,6 @@ class DomainError(ValueError):
     """An argument is outside the operation's domain."""
 
 
-class SizeError(ValueError):
-    """A requested matrix order exceeds the configured maximum."""
-
-
-class NotPrimeError(ValueError):
-    """A construction required a prime and got a composite."""
-
-
-class UnsupportedFieldError(NotPrimeError):
-    """A prime power (but not a prime) was passed to a Paley builder."""
-
-
-class ResidueClassError(ValueError):
-    """A prime is in the wrong residue class mod 4 for the construction."""
-
-
 class PmParseError(ValueError):
     """Malformed `.pm` matrix file.  Carries the 1-based offending line."""
 

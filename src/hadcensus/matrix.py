@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PmParseError
+from .errors import DomainError, PmParseError
 
 GRAM_BLOCK_ENTRIES = 1 << 24  # float32 entries per Gram block: 64 MB
 PM_BLOCK_BYTES = 1 << 20  # .pm text per block of rows written or read
@@ -43,14 +43,14 @@ class PlusMinusMatrix:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("order must be positive")
+            raise DomainError("order must be positive")
         rows = tuple(self.rows)
         if len(rows) != self.n:
-            raise ValueError("row count does not match order")
+            raise DomainError("row count does not match order")
         mask = (1 << self.n) - 1
         for r in rows:
             if r < 0 or r > mask:
-                raise ValueError("row bits out of range for order")
+                raise DomainError("row bits out of range for order")
         object.__setattr__(self, "rows", rows)
 
     def __repr__(self):
@@ -61,9 +61,9 @@ class PlusMinusMatrix:
         """Build from an array-like of +-1 entries."""
         a = np.asarray(dense)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("dense input must be square")
+            raise DomainError("dense input must be square")
         if not np.isin(a, (-1, 1)).all():
-            raise ValueError("entries must be +-1")
+            raise DomainError("entries must be +-1")
         return cls(len(a), _pack(a == -1))
 
     def to_dense(self):

@@ -348,6 +348,27 @@ class TestPiCount:
                 assert pref.dtype == np.int64
                 assert np.array_equal(pref, naive)
 
+    @pytest.mark.parametrize("q,a", [
+        pytest.param(2 << l, (1 << l) - 1, id=f"l={l}")
+        for l in (30, 31, 32, 45, 46, 47, 61, 62, 63, 92, 93, 130)
+    ] + [pytest.param(3 << 94, (1 << 93) - 1, id="odd period")])
+    def test_limbs_against_naive(self, q, a):
+        # r mod p is read in limbs as wide as the largest base prime allows,
+        # 46 bits for the odd primes below 2^17, and r = a, of 30 to 130 bits,
+        # falls on both sides of the edges of 31- and 46-bit limbs.  Naively,
+        # p strikes a member exactly when p divides it and it is at least p^2:
+        # when the least base prime dividing it has p^2 <= member.
+        primes = np.array(arith._sieve_upto(1 << 17)[1:], dtype=np.int64)
+        base = [p for p in primes.tolist() if q % p]  # 3 divides q = 3 * 2^94
+        product, limit = math.prod(base), a + q * 200
+        naive = []
+        for n in range(a, limit + 1, q):
+            common = math.gcd(n, product)
+            least = next((p for p in base if common % p == 0), n)
+            naive.append(least * least > n)
+        hits = [h for _, _, h in census._progression_hits(limit, q, a, primes)]
+        assert np.concatenate(hits).tolist() == naive
+
     @pytest.mark.parametrize("l,count", [
         (1, 2880504), (2, 1440544), (3, 720456),
         (4, 359962), (5, 179951), (6, 90049),

@@ -12,13 +12,14 @@ import pytest
 
 import hadcensus
 
-from hadcensus import arith, census, construct, solver
+from hadcensus import arith, census, construct, errors, solver
 from hadcensus.cli import (
     EXIT_COVERAGE_GAP,
     EXIT_IO,
     EXIT_NOT_HADAMARD,
     EXIT_NO_PRIME,
     EXIT_OK,
+    FAILURES,
     main,
 )
 
@@ -384,6 +385,13 @@ class TestErrorExits:
         code, out, err = run(["riesel"] + extra, capsys)
         assert (code, out) == (EXIT_IO, "")
         assert err == f"domain error: {message}\n"
+
+
+def test_every_error_type_has_a_failure_line():
+    # a refusal type FAILURES does not map would end in a traceback
+    defined = {kind for kind in vars(errors).values()
+               if isinstance(kind, type) and kind.__module__ == errors.__name__}
+    assert defined <= {kind for kind, _, _ in FAILURES}
 
 
 def test_import_does_not_load_scipy():

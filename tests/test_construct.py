@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,13 +16,7 @@ from hadcensus.construct import (
     plan_for,
     sylvester,
 )
-from hadcensus.errors import (
-    NoPrimeInRange,
-    NotPrimeError,
-    ResidueClassError,
-    SizeError,
-    UnsupportedFieldError,
-)
+from hadcensus.errors import DomainError, NoPrimeInRange
 from hadcensus.matrix import PlusMinusMatrix, is_hadamard
 
 
@@ -31,9 +27,29 @@ def test_sylvester_small():
     assert S3.n == 8 and is_hadamard(S3)
 
 
+def too_large(order):
+    return f"^order {re.escape(str(order))} exceeds max_order {MAX_ORDER_DEFAULT}$"
+
+
+def prime_power(q):
+    return f"^{q} is a prime power, not a prime; prime-power Paley fields are unsupported$"
+
+
 def test_sylvester_size_guard():
-    with pytest.raises(SizeError, match=f"order 2\\^17 exceeds max_order {MAX_ORDER_DEFAULT}"):
+    with pytest.raises(DomainError, match=too_large("2^17")):
         sylvester(17)
+
+
+def test_sylvester_refuses_without_building():
+    # the guard compares t with the cap's exponent: 2^(10^9) alone is 125 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=too_large(f"2^{10**9}")):
+            sylvester(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_paley_I():
@@ -44,11 +60,11 @@ def test_paley_I():
 
 
 def test_paley_I_rejections():
-    with pytest.raises(ResidueClassError):
+    with pytest.raises(DomainError, match="^paley_i requires q = 3 mod 4, got q = 5$"):
         paley_I(5)
-    with pytest.raises(UnsupportedFieldError):
+    with pytest.raises(DomainError, match=prime_power(9)):
         paley_I(9)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(DomainError, match="^15 is not prime$"):
         paley_I(15)
 
 
@@ -96,16 +112,17 @@ def test_paley_size_guard(monkeypatch):
     # the order is checked first: the prime check would trial-divide this q
     monkeypatch.setattr(arith, "factorize", refused)
     composite = (2**31 - 1) * (2**61 - 1)
-    for build, q in ((paley_I, 65539), (paley_II, 32789),
-                     (paley_I, composite), (paley_II, composite)):
-        with pytest.raises(SizeError, match=f"max_order {MAX_ORDER_DEFAULT}"):
+    for build, q, order in ((paley_I, 65539, 65540), (paley_II, 32789, 65580),
+                            (paley_I, composite, composite + 1),
+                            (paley_II, composite, 2 * (composite + 1))):
+        with pytest.raises(DomainError, match=too_large(order)):
             build(q)
 
 
 def test_paley_II_rejections():
-    with pytest.raises(ResidueClassError):
+    with pytest.raises(DomainError, match="^paley_ii requires q = 1 mod 4, got q = 7$"):
         paley_II(7)
-    with pytest.raises(UnsupportedFieldError):
+    with pytest.raises(DomainError, match=prime_power(25)):
         paley_II(25)
 
 
@@ -123,18 +140,23 @@ def test_build_plan_refuses_before_building(monkeypatch):
 
     monkeypatch.setattr(construct, "PlusMinusMatrix", built)
     monkeypatch.setattr(construct, "_quadratic_character_row", built)
-    for plan in (ConstructionPlan(construct.SYLVESTER, 1 << 17, True, t=17),
-                 ConstructionPlan(construct.PALEY_I, 65540, True, q=65539),
-                 ConstructionPlan(construct.PALEY_II, 65580, True, q=32789)):
-        with pytest.raises(SizeError, match=f"exceeds max_order {MAX_ORDER_DEFAULT}"):
+    for plan, order in ((ConstructionPlan(construct.SYLVESTER, 1 << 17, True, t=17), "2^17"),
+                        (ConstructionPlan(construct.PALEY_I, 65540, True, q=65539), 65540),
+                        (ConstructionPlan(construct.PALEY_II, 65580, True, q=32789), 65580)):
+        with pytest.raises(DomainError, match=too_large(order)):
             build_plan(plan)
 
 
 def test_build_plan_leaf_failure_propagates():
-    with pytest.raises(ResidueClassError):
+    with pytest.raises(DomainError, match="^paley_i requires q = 3 mod 4, got q = 5$"):
         build_plan(ConstructionPlan(construct.PALEY_I, 6, True, q=5))
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(DomainError, match="^21 is not prime$"):
         build_plan(ConstructionPlan(construct.PALEY_II, 44, True, q=21))
+
+
+def test_build_plan_refuses_an_unknown_kind():
+    with pytest.raises(DomainError, match="^unknown plan kind 'hadamard'$"):
+        build_plan(ConstructionPlan("hadamard", 4, True))
 
 
 def test_plan_json_format():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hadcensus import arith, construct, matrix
 from hadcensus.cli import EXIT_OK, main
-from hadcensus.errors import PmParseError
+from hadcensus.errors import DomainError, PmParseError
 from hadcensus.matrix import (
     PlusMinusMatrix,
     is_hadamard,
@@ -37,6 +37,18 @@ def test_dense_round_trip():
     for n in (1, 2, 5, 17, 64, 130):
         M = random_pm(rng, n)
         assert PlusMinusMatrix.from_dense(M.to_dense()) == M
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: PlusMinusMatrix(0, ()), "order must be positive"),
+    (lambda: PlusMinusMatrix(2, (0,)), "row count does not match order"),
+    (lambda: PlusMinusMatrix(2, (0, 4)), "row bits out of range for order"),
+    (lambda: PlusMinusMatrix.from_dense([[1, -1]]), "dense input must be square"),
+    (lambda: PlusMinusMatrix.from_dense([[1, 0], [1, -1]]), "entries must be \\+-1"),
+])
+def test_refused_arguments(build, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        build()
 
 
 def test_packed_dot_matches_naive():
