@@ -20,7 +20,6 @@ from .census import (
 from .construct import (
     ConstructionPlan,
     build_plan,
-    hadamard_for,
     paley_I,
     paley_II,
     sylvester,

@@ -2,7 +2,7 @@
 
 Everything here is pure and deterministic.  Integers are arbitrary
 precision; primality is exact below 2^64 (Lucas-Lehmer-Riesel for k*2^s - 1
-with odd k < 2^s, else a witness set), Baillie/PSW-style and uncertified above.
+with odd k < 2^s, else a witness set); above, Baillie-PSW certifies composites only.
 LLR and the strong Lucas step share one Lucas V ladder, _lucas_v.
 """
 
@@ -27,6 +27,7 @@ class Method(Enum):
     TRIAL_DIVISION = "trial_division"
     DETERMINISTIC_WITNESS_SET = "deterministic_witness_set"
     LUCAS_LEHMER_RIESEL = "lucas_lehmer_riesel"
+    BAILLIE_PSW = "baillie_psw"  # a composite past 2^64; its primes are PROBABLE_PRIME
     PROBABLE_PRIME = "probable_prime"
 
 
@@ -139,6 +140,7 @@ _PRIME = PrimalityResult(Verdict.PRIME, Method.DETERMINISTIC_WITNESS_SET, True)
 _LLR_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.LUCAS_LEHMER_RIESEL, True)
 _LLR_PRIME = PrimalityResult(Verdict.PRIME, Method.LUCAS_LEHMER_RIESEL, True)
 _PROBABLE = PrimalityResult(Verdict.PRIME, Method.PROBABLE_PRIME, False)
+_BPSW_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.BAILLIE_PSW, True)
 _TRIAL_PRIME = PrimalityResult(Verdict.PRIME, Method.TRIAL_DIVISION, True)
 _TRIAL_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.TRIAL_DIVISION, True)
 _NOT_PRIME = PrimalityResult(Verdict.NOT_PRIME, Method.TRIAL_DIVISION, True)
@@ -158,9 +160,8 @@ def is_prime(n):
     d = (n - 1) >> s
     if n < DETERMINISTIC_LIMIT:
         return _COMPOSITE if any(_mr_composite(n, a, d, s) for a in _WITNESSES_U64) else _PRIME
-    if _mr_composite(n, 2, d, s):
-        return _COMPOSITE
-    return _PROBABLE if _strong_lucas_prp(n) else _COMPOSITE
+    bpsw_prime = not _mr_composite(n, 2, d, s) and _strong_lucas_prp(n)
+    return _PROBABLE if bpsw_prime else _BPSW_COMPOSITE
 
 
 def jacobi(a, n):

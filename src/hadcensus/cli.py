@@ -77,18 +77,15 @@ def _emit(args, payload):
 
 
 def cmd_build(args):
-    plan, matrix = construct.hadamard_for(
-        args.k, args.epsilon, max_order=args.max_order,
-        allow_probable=not args.strict_primality,
-    )
+    plan = construct.plan_for(args.k, args.epsilon,
+                              allow_probable=not args.strict_primality)
     order = plan.claimed_order
     exponent = (order // args.k).bit_length() - 1
     if args.out:
         _write_text(args.out, canonical_json(plan.to_json_dict()))
-        if matrix is not None:
-            write_matrix(matrix, args.out + ".pm")
-    print(f"order {order} = 2^{exponent} * {args.k} "
-          f"(certified={plan.certified})")
+        if order <= construct.MAX_ORDER_DEFAULT:
+            write_matrix(construct.build_plan(plan), args.out + ".pm")
+    print(f"order {order} = 2^{exponent} * {args.k} (certified={plan.certified})")
     return EXIT_OK
 
 
@@ -151,10 +148,10 @@ def build_parser():
         p.add_argument("--strict-primality", action="store_true",
                        help="reject probable primes")
 
-    p = sub.add_parser("build", help="construct a Hadamard matrix for odd k")
+    p = sub.add_parser("build", help="plan a Hadamard matrix for odd k; --out gets "
+                       "the plan and, up to order 2^16, the matrix as <out>.pm")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=_fraction, required=True)
-    p.add_argument("--max-order", type=int, default=construct.MAX_ORDER_DEFAULT)
     add_common(p)
     p.set_defaults(func=cmd_build)
 

@@ -1,5 +1,5 @@
-"""Hadamard matrix builders: Sylvester, Paley I, Paley II, and the
-(k, epsilon) -> certified order-2^l*k pipeline."""
+"""Hadamard matrix builders: Sylvester, Paley I and Paley II; plan_for, which
+picks one for an order 2^l*k from (k, epsilon), and build_plan, which runs it."""
 
 from __future__ import annotations
 
@@ -125,12 +125,3 @@ def plan_for(k, epsilon, allow_probable=True) -> ConstructionPlan:
         return ConstructionPlan(PALEY_II, 2 * (q + 1), result.certified, q=q)  # order 2^2 * k
     return ConstructionPlan(PALEY_I, q + 1, result.certified, q=q)  # order 2^m * k
 
-
-def hadamard_for(k, epsilon, max_order=MAX_ORDER_DEFAULT, allow_probable=True):
-    """(plan, matrix-or-None); the matrix is materialized only when the
-    claimed order fits under max_order, itself at most MAX_ORDER_DEFAULT."""
-    if max_order > MAX_ORDER_DEFAULT:
-        raise DomainError(f"max_order {max_order} exceeds {MAX_ORDER_DEFAULT}")
-    plan = plan_for(k, epsilon, allow_probable=allow_probable)
-    matrix = build_plan(plan) if plan.claimed_order <= max_order else None
-    return plan, matrix

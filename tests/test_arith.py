@@ -1,12 +1,13 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadcensus import arith
+from hadcensus import arith, census
 from hadcensus.arith import Method, Verdict, factorize, is_prime, jacobi, mult_order
 from hadcensus.errors import DomainError
 
@@ -53,6 +54,28 @@ class TestIsPrime:
         n = (2**89 - 1) * (2**107 - 1)
         r = is_prime(n)
         assert r.verdict is Verdict.COMPOSITE and r.is_certified
+        assert r.method is Method.BAILLIE_PSW  # no witness set reaches past 2^64
+
+    def test_strong_lucas_composite_label(self, monkeypatch):
+        # the base-2 test passes n by fiat, so the strong Lucas step decides
+        monkeypatch.setattr(arith, "_mr_composite", lambda n, a, d, s: False)
+        r = is_prime((2**89 - 1) * (2**107 - 1))
+        assert r.verdict is Verdict.COMPOSITE and r.is_certified
+        assert r.method is Method.BAILLIE_PSW
+
+    def test_census_labels_past_2_64(self, monkeypatch):
+        # census (9 991, 5) tests 21 669 window members, thousands past 2^64
+        real, seen = arith.is_prime, Counter()
+
+        def labelled(n):
+            r = real(n)
+            seen[n >= arith.DETERMINISTIC_LIMIT, r.method] += 1
+            return r
+
+        monkeypatch.setattr(arith, "is_prime", labelled)
+        census.density_report(9991, 5)
+        assert seen[True, Method.DETERMINISTIC_WITNESS_SET] == 0
+        assert seen[True, Method.BAILLIE_PSW] > 0 and seen[True, Method.PROBABLE_PRIME] > 0
 
     def test_beyond_float_range(self):
         # 3*2^1274 - 1 is a known Riesel prime; above 2^1024 the Lucas

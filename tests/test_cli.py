@@ -99,10 +99,8 @@ class TestBuildVerify:
         assert err == "no prime in window m = 1..9 for k = 509203\n"
 
     def test_build_probable_prime(self, capsys):
-        # 763 * 2^55 - 1, past 2^64, is only a probable prime; the order is
-        # past --max-order, so no matrix is built
-        code, out, err = run(["build", "--k", "763", "--epsilon", "6",
-                              "--max-order", "16"], capsys)
+        # 763 * 2^55 - 1, past 2^64, is only a probable prime
+        code, out, err = run(["build", "--k", "763", "--epsilon", "6"], capsys)
         assert (code, err) == (EXIT_OK, "")
         assert out == "order 27489972125469507584 = 2^55 * 763 (certified=False)\n"
         code, out, err = run(["build", "--k", "763", "--epsilon", "6",
@@ -110,18 +108,33 @@ class TestBuildVerify:
         assert (code, out) == (EXIT_NO_PRIME, "")
         assert err == "no prime in window m = 1..57 for k = 763\n"
 
-    def test_build_max_order_cap(self, monkeypatch, capsys):
-        def no_build(*args, **kwargs):
-            raise AssertionError("planned or built past the order cap")
+    def test_build_without_out_builds_nothing(self, monkeypatch, capsys):
+        def no_build(plan):
+            raise AssertionError("built a matrix with no --out to write it to")
+
+        monkeypatch.setattr(construct, "build_plan", no_build)
+        code, out, err = run(["build", "--k", "4095", "--epsilon", "2"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "order 65520 = 2^4 * 4095 (certified=True)\n"
+
+    def test_build_max_order_cap(self, tmp_path, monkeypatch, capsys):
+        def no_build(plan):
+            raise AssertionError("built past the order cap")
 
         # the plan is Paley I of order 160 020: 3.2 GB of packed rows alone
-        assert construct.plan_for(40005, 1).claimed_order == 160020
-        monkeypatch.setattr(construct, "plan_for", no_build)
         monkeypatch.setattr(construct, "build_plan", no_build)
+        plan_path = tmp_path / "p.json"
         code, out, err = run(["build", "--k", "40005", "--epsilon", "1",
-                              "--max-order", "200000"], capsys)
-        assert (code, out) == (EXIT_IO, "")
-        assert err == "domain error: max_order 200000 exceeds 65536\n"
+                              "--out", str(plan_path)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "order 160020 = 2^2 * 40005 (certified=True)\n"
+        assert json.loads(plan_path.read_text())["claimed_order"] == 160020
+        assert not (tmp_path / "p.json.pm").exists()
+        # the cap is a constant: build has no --max-order option
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--k", "5", "--epsilon", "1", "--max-order", "16"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-order 16" in capsys.readouterr().err
 
 
 class TestSearch:

@@ -10,7 +10,6 @@ from hadcensus.construct import (
     MAX_ORDER_DEFAULT,
     ConstructionPlan,
     build_plan,
-    hadamard_for,
     paley_I,
     paley_II,
     plan_for,
@@ -179,29 +178,25 @@ def test_probable_prime_plan():
     assert (err.value.m_lo, err.value.m_hi) == (1, 57)
 
 
-def test_hadamard_for_examples():
-    plan, M = hadamard_for(3, 1)
+def test_plan_then_build_examples():
+    plan = plan_for(3, 1)
+    M = build_plan(plan)
     assert plan.kind == construct.PALEY_II and plan.q == 5
     assert plan.claimed_order == 12 == M.n
     assert is_hadamard(M)
 
-    plan, M = hadamard_for(1, 1)
+    plan = plan_for(1, 1)
     assert plan.kind == construct.SYLVESTER and plan.claimed_order == 4
 
-    plan, M = hadamard_for(5, 1)
+    plan = plan_for(5, 1)
     assert plan.kind == construct.PALEY_I and plan.q == 19
     assert plan.claimed_order == 20
 
 
-def test_hadamard_for_riesel_failure():
+def test_plan_for_riesel_failure():
     with pytest.raises(NoPrimeInRange) as err:
-        hadamard_for(509203, Fraction(1, 2))
+        plan_for(509203, Fraction(1, 2))
     assert (err.value.m_lo, err.value.m_hi) == (1, 9)
-
-
-def test_hadamard_for_defers_large_orders():
-    plan, M = hadamard_for(5, 1, max_order=16)
-    assert plan.claimed_order == 20 and M is None
 
 
 def test_residue_forcing():
@@ -237,10 +232,11 @@ def test_pipeline_exponent_bound(epsilon):
 def test_pipeline_outputs_verify():
     for k in range(1, 60, 2):
         try:
-            plan, M = hadamard_for(k, 2)
+            plan = plan_for(k, 2)
         except NoPrimeInRange:
             continue
-        if M is not None:
+        if plan.claimed_order <= MAX_ORDER_DEFAULT:
+            M = build_plan(plan)
             assert is_hadamard(M)
             assert M.n == plan.claimed_order
 
