@@ -9,7 +9,6 @@ from .arith import (
     mult_order,
 )
 from .census import (
-    CensusParams,
     CensusReport,
     I_closed,
     I_quadrature,

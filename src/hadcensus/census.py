@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith
-from .errors import DomainError, SelfCheckError, WindowError
+from .errors import DomainError, SelfCheckError
 
 SEGMENT_SIZE = 1 << 20  # odd class members per pi sieve segment
 # q = 4 sieves 10^9 in 1.1 s, 10^10 in 14-17 s on a 2-vCPU VM; ~4 MB at the cap
@@ -62,17 +62,10 @@ GAUSS_POINTS = 20  # Gauss-Legendre nodes per I_quadrature panel
 
 
 @dataclass(frozen=True)
-class CensusParams:
-    """A census's inputs and window, as in its JSON "params" object."""
-
+class CensusReport:
     x: int
     epsilon: Fraction
     L: int  # floor(epsilon*log2(x)) - 1
-
-
-@dataclass(frozen=True)
-class CensusReport:
-    params: CensusParams
     sigma: int  # sum of S(k, L) over odd k <= x
     pi_terms: tuple  # ((l, count), ...)
     sum_S_squared: int
@@ -86,12 +79,12 @@ class CensusReport:
     degenerate_flags: tuple
 
     def to_json_dict(self):
-        x = self.params.x
+        x = self.x
         return {
             "params": {
                 "x": x,
-                "epsilon": str(self.params.epsilon),
-                "L": self.params.L,
+                "epsilon": str(self.epsilon),
+                "L": self.L,
             },
             "sigma": self.sigma,
             "pi_terms": [[l, c] for l, c in self.pi_terms],
@@ -109,14 +102,9 @@ class CensusReport:
                 "M_over_x": self.M / x,
                 "M_prime_over_x": self.M_prime / x,
                 "H_lower_over_x": self.H_lower / x,
-                "reference_curve": 2 * math.log2(1 + float(self.params.epsilon)),
+                "reference_curve": 2 * math.log2(1 + float(self.epsilon)),
             },
         }
-
-    def to_csv(self):
-        lines = ["l,pi_count"]
-        lines += [f"{l},{c}" for l, c in self.pi_terms]
-        return "\n".join(lines) + "\n"
 
 
 # --- the census rows ---------------------------------------------------------
@@ -415,7 +403,7 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
         raise DomainError("x must be positive")
     L = arith.max_m_leq(epsilon, x) - 1
     if L < 1:
-        raise WindowError(f"empty window: L = {L} for x = {x}, epsilon = {epsilon}")
+        raise DomainError(f"empty window: L = {L} for x = {x}, epsilon = {epsilon}")
     if (size := (L + 1) * ((x + 1) // 2)) > TABLE_BYTES_MAX:
         raise DomainError(f"census for x = {x} sieves {size} row flags, "
                           f"over the budget of {TABLE_BYTES_MAX}")
@@ -426,7 +414,9 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     s_sq = sum(s * s * int(np.count_nonzero(S == s)) for s in range(1, L + 1))
     m_count = int(np.count_nonzero(flags_m))
     return CensusReport(
-        params=CensusParams(x, epsilon, L),
+        x=x,
+        epsilon=epsilon,
+        L=L,
         sigma=s_sum,
         pi_terms=terms,
         sum_S_squared=s_sq,

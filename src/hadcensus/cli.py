@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import census, construct, solver
 from .errors import (CoverageGap, DomainError, NoPrimeInRange, PmParseError,
-                     SelfCheckError, WindowError)
+                     SelfCheckError)
 from .jsonio import canonical_json
 from .matrix import is_hadamard, read_matrix, write_matrix
 
@@ -41,7 +41,6 @@ FAILURES = (
     (PmParseError, EXIT_IO, "parse error: {0}"),
     (OSError, EXIT_IO, "I/O error: {0}"),
     (DomainError, EXIT_IO, "domain error: {0}"),
-    (WindowError, EXIT_IO, "window error: {0}"),
     (SelfCheckError, EXIT_NOT_HADAMARD, "check failed: {0}"),
 )
 
@@ -104,14 +103,10 @@ def cmd_search(args):
 
 
 def cmd_census(args):
-    if args.format == "csv" and not args.out:
-        raise DomainError("--format csv needs --out for the .csv file")
     report = census.density_report(
         args.x, args.epsilon, allow_probable=not args.strict_primality
     )
     _emit(args, report.to_json_dict())
-    if args.format == "csv":
-        _write_text(args.out + ".csv", report.to_csv())
     return EXIT_OK
 
 
@@ -168,7 +163,6 @@ def build_parser():
     p = sub.add_parser("census", help="full density report for (x, epsilon)")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--epsilon", type=_fraction, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p)
     p.set_defaults(func=cmd_census)
 

@@ -38,9 +38,5 @@ class CoverageGap(Exception):
         self.period = period
 
 
-class WindowError(ValueError):
-    """Census window is empty (L < 1)."""
-
-
 class SelfCheckError(ArithmeticError):
     """Two independent routes to the same count disagree."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hadcensus import arith, census, construct, solver
-from hadcensus.errors import NoPrimeInRange, WindowError
+from hadcensus.errors import DomainError, NoPrimeInRange
 from hadcensus.matrix import is_hadamard
 
 
@@ -101,11 +101,13 @@ def test_04_riesel_certificate(verdict):
 
 def test_05_cauchy_schwarz_bound(verdict):
     ok = True
+    empty = []
     for x in (4, 100, 1000, 10_000):
         for eps in (Fraction(1, 2), Fraction(1), Fraction(2)):
             try:
                 report = census.density_report(x, eps)
-            except WindowError:  # (4, 1/2): L = 0
+            except DomainError:
+                empty.append((x, eps))
                 continue
             ssq = report.sum_S_squared
             if ssq == 0:
@@ -114,6 +116,8 @@ def test_05_cauchy_schwarz_bound(verdict):
     hand = census.density_report(4, 2)
     ok = ok and hand.N == 2 and hand.sum_S_squared == 13
     ok = ok and 2 * 13 >= 5 * 5
+    # L = floor(log2(4)/2) - 1 = 0: the one pair with an empty window
+    ok = ok and empty == [(4, Fraction(1, 2))]
     verdict(5, "Cauchy-Schwarz lower bound", ok)
 
 
@@ -194,7 +198,7 @@ def test_09_cross_module_consistency(verdict):
         for probe in (10, 100, 1000, x):
             try:
                 report = census.density_report(probe, eps)
-            except WindowError:
+            except DomainError:
                 empty.append((probe, eps))
                 continue
             ok = ok and report.H_lower >= report.M

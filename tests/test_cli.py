@@ -178,19 +178,21 @@ class TestCensus:
     def test_csv_sidecar(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, _, _ = run(
-            ["census", "--x", "4", "--epsilon", "2",
-             "--format", "csv", "--out", str(out_path)],
+            ["census", "--x", "4", "--epsilon", "2", "--out", str(out_path)],
             capsys,
         )
         assert code == EXIT_OK
-        csv_text = (tmp_path / "report.json.csv").read_text()
-        assert csv_text == "l,pi_count\n1,1\n2,2\n3,2\n"
+        assert json.loads(out_path.read_text())["pi_terms"] == [[1, 1], [2, 2], [3, 2]]
+        assert not (tmp_path / "report.json.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--x", "4", "--epsilon", "2", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
     def test_window_too_small(self, capsys):
         code, _, err = run(["census", "--x", "2", "--epsilon", "1/2"], capsys)
         assert code == EXIT_IO
-        assert "window error" in err
-        assert err == "window error: empty window: L = -1 for x = 2, epsilon = 1/2\n"
+        assert err == "domain error: empty window: L = -1 for x = 2, epsilon = 1/2\n"
 
     def test_unwritable_out(self, tmp_path, capsys):
         path = tmp_path / "missing" / "r.json"
@@ -317,8 +319,9 @@ class TestErrorExits:
         # 1198001 * 14 bits: about 200 powers of 16.8 M bits each
         (["census", "--x", "10000", "--epsilon", "1198001/1000000"],
          "domain error: epsilon too large: k^numerator over 262144 bits"),
-        (["census", "--x", "100", "--epsilon", "1", "--format", "csv"],
-         "domain error: --format csv needs --out for the .csv file"),
+        # L = 0, the largest empty census window
+        (["census", "--x", "4", "--epsilon", "1/2"],
+         "domain error: empty window: L = 0 for x = 4, epsilon = 1/2"),
         # k = 1 is the order-4 Sylvester matrix, but only for an epsilon that
         # search accepts
         (["build", "--k", "1", "--epsilon", "-1"], "domain error: epsilon must be positive"),

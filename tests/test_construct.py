@@ -178,21 +178,6 @@ def test_probable_prime_plan():
     assert (err.value.m_lo, err.value.m_hi) == (1, 57)
 
 
-def test_plan_then_build_examples():
-    plan = plan_for(3, 1)
-    M = build_plan(plan)
-    assert plan.kind == construct.PALEY_II and plan.q == 5
-    assert plan.claimed_order == 12 == M.n
-    assert is_hadamard(M)
-
-    plan = plan_for(1, 1)
-    assert plan.kind == construct.SYLVESTER and plan.claimed_order == 4
-
-    plan = plan_for(5, 1)
-    assert plan.kind == construct.PALEY_I and plan.q == 19
-    assert plan.claimed_order == 20
-
-
 def test_plan_for_riesel_failure():
     with pytest.raises(NoPrimeInRange) as err:
         plan_for(509203, Fraction(1, 2))
