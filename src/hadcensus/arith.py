@@ -1,8 +1,10 @@
 """Exact integer arithmetic: primality, Jacobi symbol, multiplicative orders.
 
 Everything here is pure and deterministic.  Integers are arbitrary
-precision; primality is exact below 2^64 (Lucas-Lehmer-Riesel for k*2^s - 1
-with odd k < 2^s, else a witness set); above, Baillie-PSW certifies composites only.
+precision.  Past trial division, Lucas-Lehmer-Riesel proves k*2^s - 1 below
+2^64 with odd k < 2^s, and Baillie-PSW decides every other n: exact below 2^64,
+since none of the base-2 strong pseudoprimes there (Feitsma and Galway's list)
+is a strong Lucas pseudoprime, and past it exact for composites only.
 LLR and the strong Lucas step share one Lucas V ladder, _lucas_v.
 """
 
@@ -25,17 +27,19 @@ class Verdict(Enum):
 
 class Method(Enum):
     TRIAL_DIVISION = "trial_division"
-    DETERMINISTIC_WITNESS_SET = "deterministic_witness_set"
     LUCAS_LEHMER_RIESEL = "lucas_lehmer_riesel"
-    BAILLIE_PSW = "baillie_psw"  # a composite past 2^64; its primes are PROBABLE_PRIME
-    PROBABLE_PRIME = "probable_prime"
+    BAILLIE_PSW = "baillie_psw"  # n past LLR's reach: composites, and primes below 2^64
+    PROBABLE_PRIME = "probable_prime"  # a Baillie-PSW prime past 2^64
 
 
 @dataclass(frozen=True)
 class PrimalityResult:
     verdict: Verdict
     method: Method
-    is_certified: bool
+
+    @property
+    def is_certified(self):
+        return self.method is not Method.PROBABLE_PRIME
 
     def __bool__(self):
         return self.verdict is Verdict.PRIME
@@ -58,18 +62,12 @@ SMALL_PRIMES = _sieve_upto(1000)
 _SMALL_PRODUCT = math.prod(SMALL_PRIMES)
 _SMALL_LIMIT = SMALL_PRIMES[-1] ** 2  # trial division is exact below this
 
-# Deterministic strong-pseudoprime witness set valid for all n < 2^64
-# (Sinclair's seven-witness set).
-_WITNESSES_U64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-DETERMINISTIC_LIMIT = 1 << 64
+DETERMINISTIC_LIMIT = 1 << 64  # LLR runs, and Baillie-PSW certifies primes, below this
 LLR_P_BOUND = 100  # Rodseth's P is sought below this; P + 2 < 997 keeps (P + 2 | n) != 0
 
 
 def _mr_composite(n, a, d, s):
-    # n-1 = d * 2^s with d odd; returns True if a witnesses compositeness
-    a %= n
-    if a == 0:
-        return False
+    # n-1 = d * 2^s with d odd, n not dividing a; True if a witnesses compositeness
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return False
@@ -135,19 +133,18 @@ def _llr(n):
     return _LLR_PRIME if v == 0 else _LLR_COMPOSITE
 
 
-_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.DETERMINISTIC_WITNESS_SET, True)
-_PRIME = PrimalityResult(Verdict.PRIME, Method.DETERMINISTIC_WITNESS_SET, True)
-_LLR_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.LUCAS_LEHMER_RIESEL, True)
-_LLR_PRIME = PrimalityResult(Verdict.PRIME, Method.LUCAS_LEHMER_RIESEL, True)
-_PROBABLE = PrimalityResult(Verdict.PRIME, Method.PROBABLE_PRIME, False)
-_BPSW_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.BAILLIE_PSW, True)
-_TRIAL_PRIME = PrimalityResult(Verdict.PRIME, Method.TRIAL_DIVISION, True)
-_TRIAL_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.TRIAL_DIVISION, True)
-_NOT_PRIME = PrimalityResult(Verdict.NOT_PRIME, Method.TRIAL_DIVISION, True)
+_LLR_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.LUCAS_LEHMER_RIESEL)
+_LLR_PRIME = PrimalityResult(Verdict.PRIME, Method.LUCAS_LEHMER_RIESEL)
+_PROBABLE = PrimalityResult(Verdict.PRIME, Method.PROBABLE_PRIME)
+_BPSW_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.BAILLIE_PSW)
+_BPSW_PRIME = PrimalityResult(Verdict.PRIME, Method.BAILLIE_PSW)
+_TRIAL_PRIME = PrimalityResult(Verdict.PRIME, Method.TRIAL_DIVISION)
+_TRIAL_COMPOSITE = PrimalityResult(Verdict.COMPOSITE, Method.TRIAL_DIVISION)
+_NOT_PRIME = PrimalityResult(Verdict.NOT_PRIME, Method.TRIAL_DIVISION)
 
 
 def is_prime(n):
-    """Primality verdict for n >= 0; exact below 2^64, BPSW-style above."""
+    """Primality verdict for n >= 0; exact below 2^64, Baillie-PSW's above."""
     if n <= 1:
         return _NOT_PRIME
     if math.gcd(n, _SMALL_PRODUCT) > 1:  # n <= 997 too; gcd(15, ...) = 15: test membership
@@ -157,11 +154,9 @@ def is_prime(n):
     if n < DETERMINISTIC_LIMIT and (proved := _llr(n)) is not None:
         return proved
     s = ((n - 1) & (1 - n)).bit_length() - 1
-    d = (n - 1) >> s
-    if n < DETERMINISTIC_LIMIT:
-        return _COMPOSITE if any(_mr_composite(n, a, d, s) for a in _WITNESSES_U64) else _PRIME
-    bpsw_prime = not _mr_composite(n, 2, d, s) and _strong_lucas_prp(n)
-    return _PROBABLE if bpsw_prime else _BPSW_COMPOSITE
+    if _mr_composite(n, 2, (n - 1) >> s, s) or not _strong_lucas_prp(n):
+        return _BPSW_COMPOSITE
+    return _BPSW_PRIME if n < DETERMINISTIC_LIMIT else _PROBABLE
 
 
 def jacobi(a, n):

@@ -23,11 +23,7 @@ class SearchResult:
     m_bound: int  # floor(epsilon * log2(k))
     found_m: Optional[int]
     prime_value: Optional[int]
-    primality: Optional[arith.PrimalityResult]
-
-    @property
-    def certified(self):
-        return self.primality is not None and self.primality.is_certified
+    certified: Optional[bool]  # None when no m was found
 
     def to_json_dict(self):
         return {
@@ -36,7 +32,7 @@ class SearchResult:
             "m_bound": self.m_bound,
             "found_m": self.found_m,
             "prime_value": self.prime_value,
-            "certified": self.certified if self.found_m is not None else None,
+            "certified": self.certified,
         }
 
 
@@ -54,7 +50,7 @@ def find_m(k, epsilon, allow_probable=True):
     for m in range(1, bound + 1):
         r = arith.is_prime((1 << m) * k - 1)
         if r.counts(allow_probable):
-            return SearchResult(k, epsilon, bound, m, (1 << m) * k - 1, r)
+            return SearchResult(k, epsilon, bound, m, (1 << m) * k - 1, r.is_certified)
     return SearchResult(k, epsilon, bound, None, None, None)
 
 

@@ -69,13 +69,15 @@ class TestIsPrime:
 
         def labelled(n):
             r = real(n)
-            seen[n >= arith.DETERMINISTIC_LIMIT, r.method] += 1
+            seen[n >= arith.DETERMINISTIC_LIMIT, r.method, r.verdict] += 1
             return r
 
         monkeypatch.setattr(arith, "is_prime", labelled)
         census.density_report(9991, 5)
-        assert seen[True, Method.DETERMINISTIC_WITNESS_SET] == 0
-        assert seen[True, Method.BAILLIE_PSW] > 0 and seen[True, Method.PROBABLE_PRIME] > 0
+        # past 2^64 Baillie-PSW certifies composites only; its primes are probable
+        assert seen[True, Method.BAILLIE_PSW, Verdict.PRIME] == 0
+        assert seen[True, Method.BAILLIE_PSW, Verdict.COMPOSITE] > 0
+        assert seen[True, Method.PROBABLE_PRIME, Verdict.PRIME] > 0
 
     def test_beyond_float_range(self):
         # 3*2^1274 - 1 is a known Riesel prime; above 2^1024 the Lucas
@@ -88,6 +90,30 @@ class TestIsPrime:
     def test_strong_pseudoprimes_to_base_2(self):
         for n in (2047, 3277, 4033, 4681, 8321, 15841, 65281):
             assert not is_prime(n)
+        # strong pseudoprimes to base 2 and to at least the next four prime
+        # bases, free of primes below 1000: the strong Lucas step decides
+        for n in (2_152_302_898_747, 3_474_749_660_383, 341_550_071_728_321,
+                  3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461):
+            s = ((n - 1) & (1 - n)).bit_length() - 1
+            assert not any(arith._mr_composite(n, a, (n - 1) >> s, s) for a in (2, 3, 5, 7, 11))
+            assert math.gcd(n, arith._SMALL_PRODUCT) == 1
+            r = is_prime(n)
+            assert r.verdict is Verdict.COMPOSITE and r.is_certified, n
+            assert r.method is Method.BAILLIE_PSW, n
+
+    def test_against_sympy_past_llr_reach_below_2_64(self):
+        # n = 1 mod 4 has n + 1 = 2*odd, so LLR leaves it to Baillie-PSW,
+        # which certifies its primes below 2^64
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(35)
+        for _ in range(4000):
+            bits = rng.randrange(20, 65)
+            lo, hi = max(arith._SMALL_LIMIT, 1 << (bits - 1)), 1 << bits
+            n = 4 * rng.randrange(lo // 4 + 1, hi // 4) + 1
+            r = is_prime(n)
+            assert bool(r) == sympy.isprime(n) and r.is_certified, n
+            trial = math.gcd(n, arith._SMALL_PRODUCT) > 1
+            assert r.method is (Method.TRIAL_DIVISION if trial else Method.BAILLIE_PSW), n
 
 
 class TestSmallPrimeScreen:
@@ -142,7 +168,7 @@ class TestLucasLehmerRiesel:
         assert r.method is Method.LUCAS_LEHMER_RIESEL
         r = is_prime(10**18 + 9)  # n + 1 = 2*odd: not of the form
         assert r.verdict is Verdict.PRIME and r.is_certified
-        assert r.method is Method.DETERMINISTIC_WITNESS_SET
+        assert r.method is Method.BAILLIE_PSW
         r = is_prime(3 * 2**64 - 1)  # Riesel-form prime past 2^64
         assert r.verdict is Verdict.PRIME and not r.is_certified
         assert r.method is Method.PROBABLE_PRIME
@@ -194,17 +220,18 @@ class TestLucasLehmerRiesel:
             assert is_prime(n).method is not Method.LUCAS_LEHMER_RIESEL
 
     def test_p_search_bound_falls_back(self, monkeypatch):
-        # past the bound the witness set decides, with its own label
+        # past the bound Baillie-PSW decides, certified below 2^64
         monkeypatch.setattr(arith, "LLR_P_BOUND", 3)
         for n, prime in ((2**61 - 1, True), (2**59 - 1, False)):
             r = is_prime(n)
-            assert bool(r) is prime and r.method is Method.DETERMINISTIC_WITNESS_SET
+            assert bool(r) is prime and r.method is Method.BAILLIE_PSW
+            assert r.is_certified
         # only P = 3 is tried: n with (5 | n) = 1 falls back
         monkeypatch.setattr(arith, "LLR_P_BOUND", 4)
         n = 2**61 - 1
         assert jacobi(5, n) == 1
         assert arith._llr(n) is None
-        assert is_prime(n).method is Method.DETERMINISTIC_WITNESS_SET
+        assert is_prime(n).method is Method.BAILLIE_PSW
         assert jacobi(5, 2**31 - 1) == -1
         assert is_prime(2**31 - 1).method is Method.LUCAS_LEHMER_RIESEL
 

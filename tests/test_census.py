@@ -611,7 +611,7 @@ class TestDensityReport:
             assert key in d
         assert d["params"]["epsilon"] == "2"
 
-    def test_csv(self):
+    def test_pi_terms_json(self):
         assert density_report(4, 2).to_json_dict()["pi_terms"] == [[1, 1], [2, 2], [3, 2]]
 
 

@@ -175,7 +175,7 @@ class TestCensus:
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
 
-    def test_csv_sidecar(self, tmp_path, capsys):
+    def test_out_writes_json_only(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, _, _ = run(
             ["census", "--x", "4", "--epsilon", "2", "--out", str(out_path)],
