@@ -22,7 +22,7 @@ as all do at epsilon <= 1.  The first k whose flags differ names the fault;
 arith's test is covered by test_arith.  pi_count sieves only the odd members
 of its class, psi's smallest-prime-factor route only the members of its own;
 psi's other route reads pi's sieve, checking it, and the two share no table.
-Past ROWS_MAX, TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
+Past TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
 With f(l) = a/(1 + l*a) and I(M, L) the integral of f from M to L
@@ -56,8 +56,7 @@ SIEVE_BOUND = 1 << 17
 # times (p*FEW_HITS >= its length) strikes in vectorised passes, not by its
 # own strided slice
 FEW_HITS = 16
-TABLE_BYTES_MAX = 1 << 27  # bytes: the flags a census sieves, rows*(x+1)//2
-ROWS_MAX = 1 << 10  # census rows; a row past max(SIEVE_BOUND, x)^2 tests each survivor
+TABLE_BYTES_MAX = 1 << 27  # flags a census charges: N's rows * max((x+1)//2, SIEVE_BOUND)
 GAUSS_POINTS = 20  # Gauss-Legendre nodes per I_quadrature panel
 
 
@@ -145,22 +144,20 @@ def _prime_rows(x, rows):
         yield row
 
 
-def _census_flags(x, epsilon, L, allow_probable):
-    """One pass over rows m = 1..L + 1 of _prime_rows, each checked against
-    route 2, its survivors tested past max(SIEVE_BOUND, x)^2, then folded in:
-    returns (pi terms, S(k, L) per odd k, N, M's flags, certified)."""
+def _census_flags(x, epsilon, L, rows, allow_probable):
+    """One pass over N's rows m = 1..rows (L or L + 1) of _prime_rows, each
+    checked against route 2, its survivors tested past max(SIEVE_BOUND, x)^2,
+    then folded in: returns (pi terms, S(k, L) per odd k, N, M's flags,
+    certified)."""
     num, den = epsilon.numerator, epsilon.denominator
     nk, bound = (x + 1) // 2, max(SIEVE_BOUND, x)
-    # N's window, m < epsilon*log2(x), lacks row L + 1 if x^num = 2^((L+1)*den)
-    n_rows = L + (x**num != 1 << (L + 1) * den)
-    # route 2's odd primes, to the largest root any of its rows needs; it
-    # checks every row, as N reads row L + 1 and M every row
-    screen = arith._sieve_upto(min(bound, math.isqrt(x << (L + 1))))
+    # route 2's odd primes, to the largest root any of its rows needs
+    screen = arith._sieve_upto(min(bound, math.isqrt(x << rows)))
     screen = np.array(screen[1:], dtype=np.int64)
     terms, certified = [], True
     S = np.zeros(nk, dtype=np.min_scalar_type(L))
     flags_m = np.zeros(nk, dtype=bool)
-    for m, row in enumerate(_prime_rows(x, L + 1), 1):
+    for m, row in enumerate(_prime_rows(x, rows), 1):
         for n, _, hits in _progression_hits(x << m, 2 << m, (1 << m) - 1, screen):
             j = n >> m + 1  # n = 2^m*(2j + 1) - 1
             wrong = np.flatnonzero(row[j : j + hits.size] != hits)
@@ -171,23 +168,20 @@ def _census_flags(x, epsilon, L, allow_probable):
             for j in np.flatnonzero(row).tolist():
                 r = arith.is_prime(((2 * j + 1) << m) - 1)
                 row[j] = r.counts(allow_probable)
-                # N's rows end at most one row past sigma's, so past row L a
-                # probable prime matters only as k's first.  M needs no clause:
-                # a row past N's is in k's M window only for k = x, a power of 2.
-                if row[j] and not r.is_certified and (
-                        m <= L or m <= n_rows and not S[j]):
+                # past row L a probable prime matters only as k's first in N
+                if row[j] and not r.is_certified and (m <= L or not S[j]):
                     certified = False
         if m <= L:
             terms.append((m, int(np.count_nonzero(row))))
             S += row
-        else:  # N's k: S(k, L) > 0, or a prime in row L + 1 if N's window has it
-            N = int(np.count_nonzero(S if m > n_rows else S | row))
         # M's window in row m: the odd k from the least with k^num >= 2^(m*den),
         # the float root, within 1 of it for any x a census takes, made exact
         k, power = math.ceil(2 ** (m * den / num)), 1 << m * den
         k += k**num < power
         k -= (k - 1) ** num >= power
         flags_m[k // 2 :] |= row[k // 2 :]
+    # N's k: S(k, L) > 0, or a prime in row L + 1 if N's window holds it
+    N = int(np.count_nonzero(S | row if rows > L else S))
     return tuple(terms), S, N, flags_m, certified
 
 
@@ -404,12 +398,12 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     L = arith.max_m_leq(epsilon, x) - 1
     if L < 1:
         raise DomainError(f"empty window: L = {L} for x = {x}, epsilon = {epsilon}")
-    if (size := (L + 1) * ((x + 1) // 2)) > TABLE_BYTES_MAX:
-        raise DomainError(f"census for x = {x} sieves {size} row flags, "
-                          f"over the budget of {TABLE_BYTES_MAX}")
-    if L + 1 > ROWS_MAX:
-        raise DomainError(f"census for x = {x} needs {L + 1} rows, over the cap of {ROWS_MAX}")
-    terms, S, N, flags_m, certified = _census_flags(x, epsilon, L, allow_probable)
+    # N's window, m < epsilon*log2(x), lacks row L + 1 if x^num = 2^((L+1)*den)
+    rows = L + (x**epsilon.numerator != 1 << (L + 1) * epsilon.denominator)
+    if (size := rows * (per_row := max((x + 1) // 2, SIEVE_BOUND))) > TABLE_BYTES_MAX:
+        raise DomainError(f"census for x = {x} charges {size} flags ({rows} rows "
+                          f"of {per_row}), over the budget of {TABLE_BYTES_MAX}")
+    terms, S, N, flags_m, certified = _census_flags(x, epsilon, L, rows, allow_probable)
     s_sum = sum(c for _, c in terms)  # sigma: the pi terms sum S(k, L)
     s_sq = sum(s * s * int(np.count_nonzero(S == s)) for s in range(1, L + 1))
     m_count = int(np.count_nonzero(flags_m))

@@ -82,7 +82,7 @@ def cmd_build(args):
     exponent = (order // args.k).bit_length() - 1
     if args.out:
         _write_text(args.out, canonical_json(plan.to_json_dict()))
-        if order <= construct.MAX_ORDER_DEFAULT:
+        if order <= construct.MAX_ORDER:
             write_matrix(construct.build_plan(plan), args.out + ".pm")
     print(f"order {order} = 2^{exponent} * {args.k} (certified={plan.certified})")
     return EXIT_OK

@@ -12,7 +12,7 @@ from . import arith, solver
 from .errors import DomainError, NoPrimeInRange
 from .matrix import PlusMinusMatrix, extend_by_rotation
 
-MAX_ORDER_DEFAULT = 1 << 16  # largest order any builder materializes
+MAX_ORDER = 1 << 16  # largest order any builder materializes
 
 SYLVESTER = "sylvester"
 PALEY_I = "paley_i"
@@ -49,8 +49,8 @@ def sylvester(t):
     """Order-2^t Sylvester matrix by recursive doubling."""
     if t < 0:
         raise DomainError("t must be nonnegative")
-    if t > MAX_ORDER_DEFAULT.bit_length() - 1:
-        raise DomainError(f"order 2^{t} exceeds max_order {MAX_ORDER_DEFAULT}")
+    if t > MAX_ORDER.bit_length() - 1:
+        raise DomainError(f"order 2^{t} exceeds max_order {MAX_ORDER}")
     rows = [0]
     size = 1
     for _ in range(t):
@@ -73,8 +73,8 @@ def _quadratic_character_row(q):
 
 def paley_I(q):
     """Paley construction I: order q+1 for prime q = 3 mod 4."""
-    if q + 1 > MAX_ORDER_DEFAULT:  # before the primality check trial-divides q
-        raise DomainError(f"order {q + 1} exceeds max_order {MAX_ORDER_DEFAULT}")
+    if q + 1 > MAX_ORDER:  # before the primality check trial-divides q
+        raise DomainError(f"order {q + 1} exceeds max_order {MAX_ORDER}")
     _check_paley_prime(q, PALEY_I)
     chi = _quadratic_character_row(q)
     # Row 0 all +1; row 1 a +1 border, then -1 on the diagonal and chi(d)
@@ -85,8 +85,8 @@ def paley_I(q):
 def paley_II(q):
     """Paley construction II: order 2(q+1) for prime q = 1 mod 4."""
     n = 2 * (q + 1)
-    if n > MAX_ORDER_DEFAULT:
-        raise DomainError(f"order {n} exceeds max_order {MAX_ORDER_DEFAULT}")
+    if n > MAX_ORDER:
+        raise DomainError(f"order {n} exceeds max_order {MAX_ORDER}")
     _check_paley_prime(q, PALEY_II)
     chi = _quadratic_character_row(q)
     # The first two rows of the symmetric conference matrix C of order q+1

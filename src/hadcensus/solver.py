@@ -39,9 +39,9 @@ class SearchResult:
 def find_m(k, epsilon, allow_probable=True):
     """Smallest m in 1..floor(epsilon*log2(k)) with 2^m*k - 1 prime.
 
-    Window membership is decided in exact rational arithmetic.  Probable
-    primes qualify (with certification cleared) unless allow_probable is
-    False.
+    The window's end is decided by exact integer powers (arith.max_m_leq).
+    Probable primes qualify (with certification cleared) unless
+    allow_probable is False.
     """
     if k < 1 or k % 2 == 0:
         raise DomainError("k must be odd and positive")

@@ -189,7 +189,8 @@ def test_09_cross_module_consistency(verdict):
     ok = True
     empty = []
     for eps in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        census_flags = census._census_flags(x, eps, arith.max_m_leq(eps, x) - 1, True)[3]
+        L = arith.max_m_leq(eps, x) - 1  # x is no power of 2: N reads row L + 1
+        census_flags = census._census_flags(x, eps, L, L + 1, True)[3]
         solver_flags = [
             solver.find_m(k, eps).found_m is not None
             for k in range(1, x + 1, 2)

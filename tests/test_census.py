@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 import weakref
 from bisect import bisect_left
@@ -100,10 +101,25 @@ def sieve_rows(x, eps):
     return np.array(list(census._prime_rows(x, arith.max_m_leq(Fraction(eps), x))))
 
 
+def n_rows(x, eps):
+    """N's rows: the m >= 1 with m < eps*log2(x), i.e. 2^(m*den) <= x^num - 1."""
+    return ((x**eps.numerator - 1).bit_length() - 1) // eps.denominator
+
+
 def m_window(x, eps, allow_probable=True):
     """M's flag per odd k <= x from one census pass."""
     eps = Fraction(eps)
-    return census._census_flags(x, eps, arith.max_m_leq(eps, x) - 1, allow_probable)[3]
+    L = arith.max_m_leq(eps, x) - 1
+    return census._census_flags(x, eps, L, n_rows(x, eps), allow_probable)[3]
+
+
+class Admitted(Exception):
+    """Raised, with N's row count, by admit in place of a census pass."""
+
+
+def admit(x, eps, L, rows, allow_probable):
+    """Stands in for census._census_flags once a census passes its budget."""
+    raise Admitted(rows)
 
 
 def plant_row_fault(monkeypatch, fault):
@@ -614,6 +630,18 @@ class TestDensityReport:
     def test_pi_terms_json(self):
         assert density_report(4, 2).to_json_dict()["pi_terms"] == [[1, 1], [2, 2], [3, 2]]
 
+    def test_sigma_below_upper_curve(self):
+        # upper_curve is twice sigma's main term, x*log2(1 + epsilon): an
+        # observed bound, not a proved one.  The largest sigma/upper_curve
+        # seen on small x is 0.60, at (5, 8).
+        points = [(x, Fraction(eps)) for x in range(2, 400, 7)
+                  for eps in ("1/4", "1/2", "1", "2")]
+        points += [(x, Fraction(8)) for x in (3, 5, 7, 9, 15, 31)]
+        for x, eps in points:
+            if arith.max_m_leq(eps, x) >= 2:  # L >= 1
+                report = density_report(x, eps)
+                assert report.sigma <= report.upper_curve, (x, eps)
+
 
 class TestWindowInclusion:
     @pytest.mark.parametrize("A", [2, 4])
@@ -904,13 +932,13 @@ class TestCensusTable:
             density_report(x, eps)
 
     def test_table_budget(self, monkeypatch):
-        def table_bytes(x, eps):  # one bool per row and odd k: the flags sieved
-            return arith.max_m_leq(Fraction(eps), x) * ((x + 1) // 2)
+        def charge(x, eps):  # N's rows, each charged at least SIEVE_BOUND flags
+            return n_rows(x, Fraction(eps)) * max((x + 1) // 2, census.SIEVE_BOUND)
 
-        # the benchmark's census sizes stay far below the budget
+        # the benchmark's census sizes are charged a tenth of the budget or less
         for x, eps in ((10**5 + 1000, 1), (10**4 + 1000, 5)):
-            assert 100 * table_bytes(x, eps) < census.TABLE_BYTES_MAX
-        assert table_bytes(10**9, 1) > census.TABLE_BYTES_MAX
+            assert 10 * charge(x, eps) < census.TABLE_BYTES_MAX
+        assert charge(10**9, 1) > census.TABLE_BYTES_MAX
         # refused before a row is sieved or route 2's screen is built
         with monkeypatch.context() as patch:
             for name in ("_prime_rows", "_progression_hits"):
@@ -918,15 +946,98 @@ class TestCensusTable:
             patch.setattr(arith, "_sieve_upto", None)
             with pytest.raises(DomainError, match="over the budget"):
                 density_report(10**9, 1)
-        # the budget is exact: 9 rows of 500 odd k take 4 500 bytes
-        assert table_bytes(1000, 1) == 4500
-        monkeypatch.setattr(census, "TABLE_BYTES_MAX", 4500)
+        # the budget is exact: 9 rows of 500 odd k sieve 4 500 bytes, and
+        # each row is charged the floor of SIEVE_BOUND = 131 072 flags
         assert sum(row.nbytes for row in census._prime_rows(1000, 9)) == 4500
+        assert charge(1000, 1) == 9 * 131072 == 1179648
+        monkeypatch.setattr(census, "TABLE_BYTES_MAX", 1179648)
         assert density_report(1000, 1).L == 8
-        monkeypatch.setattr(census, "TABLE_BYTES_MAX", 4499)
-        with pytest.raises(DomainError, match="^census for x = 1000 sieves 4500 row "
-                                              "flags, over the budget of 4499$"):
+        monkeypatch.setattr(census, "TABLE_BYTES_MAX", 1179647)
+        with pytest.raises(DomainError, match=r"^census for x = 1000 charges 1179648 "
+                                              r"flags \(9 rows of 131072\), over the "
+                                              r"budget of 1179647$"):
             density_report(1000, 1)
+
+    def test_budget_refuses_what_the_two_caps_refused(self, monkeypatch):
+        # The rule the budget replaced: at most 2^27 sieved flags, (L + 1)
+        # rows of (x + 1)//2, and at most 2^10 rows.  Each row charged at
+        # least 2^27 / 2^10 flags refuses the same pairs wherever N reads row
+        # L + 1; where it does not, x = 2^a with epsilon*a an integer, the
+        # unread row is no longer charged.  Nothing is sieved.
+        def two_caps_refuse(x, L):
+            return (L + 1) * ((x + 1) // 2) > 1 << 27 or L + 1 > 1 << 10
+
+        monkeypatch.setattr(census, "_census_flags", admit)
+        rng, pairs = random.Random(36), [(1 << 26, Fraction(5, 26))]
+        for _ in range(3000):
+            a = rng.randrange(1, 30)
+            x = 1 << a if rng.random() < 0.3 else rng.randrange(2, 2 << a)
+            edge = min((1 << 27) // ((x + 1) // 2), 1 << 10)  # the caps' most rows
+            rows = max(1, edge + rng.randrange(-3, 4) if rng.random() < 0.7
+                       else rng.randrange(1, 2 * edge + 2))
+            if x == 1 << a and rng.random() < 0.5:
+                pairs.append((x, Fraction(rows, a)))  # epsilon*log2(x) = rows
+            else:
+                den = rng.randrange(1, 33)
+                num = round(rows * den / math.log2(x)) + rng.randrange(-den, den + 1)
+                pairs.append((x, Fraction(max(num, 1), den)))
+        outcomes, changed = Counter(), []
+        for x, eps in pairs:
+            L = arith.max_m_leq(eps, x) - 1
+            if L < 1:
+                continue
+            try:
+                density_report(x, eps)
+            except Admitted:
+                refused = False
+            except DomainError as e:
+                assert "over the budget" in str(e), (x, eps, e)
+                refused = True
+            if n_rows(x, eps) == L + 1:
+                assert refused == two_caps_refuse(x, L), (x, eps)
+                outcomes[refused, L + 1 > 1 << 10, (L + 1) * ((x + 1) // 2) > 1 << 27] += 1
+            elif refused != two_caps_refuse(x, L):
+                assert not refused, (x, eps)
+                changed.append((x, eps))
+        assert (1 << 26, Fraction(5, 26)) in changed
+        # both outcomes, and each cap refusing alone and with the other
+        assert set(outcomes) == {(False, False, False), (True, True, False),
+                                 (True, False, True), (True, True, True)}, outcomes
+
+    def test_budget_edges_at_x_3(self, monkeypatch):
+        # x = 3 takes one odd k: the floor charges 2^17 flags a row, so
+        # 2^10 rows are admitted and 2^10 + 1 refused
+        monkeypatch.setattr(census, "_census_flags", admit)
+        with pytest.raises(Admitted, match="^1024$"):
+            density_report(3, Fraction(6461, 10))
+        with pytest.raises(DomainError, match=r"^census for x = 3 charges 134348800 flags "
+                                              r"\(1025 rows of 131072\), over the budget "
+                                              r"of 134217728$"):
+            density_report(3, 647)
+
+    @pytest.mark.parametrize("x,eps,rows", [
+        (1024, Fraction(1, 2), 4),  # epsilon*log2(x) = 5: row 5 is past N's window
+        (4096, Fraction(1, 3), 3),  # = 4
+        (1000, Fraction(1), 9),  # = 9.97: L = 8, and N reads row 9
+    ])
+    def test_census_sieves_and_checks_only_n_rows(self, monkeypatch, x, eps, rows):
+        sieved, checked = census._prime_rows, census._progression_hits
+        counts, classes = [], []
+
+        def watched_rows(x, count):
+            counts.append(count)
+            yield from sieved(x, count)
+
+        def watched_class(limit, q, a, primes):
+            classes.append(q)
+            return checked(limit, q, a, primes)
+
+        monkeypatch.setattr(census, "_prime_rows", watched_rows)
+        monkeypatch.setattr(census, "_progression_hits", watched_class)
+        report = density_report(x, eps)
+        assert counts == [rows] and n_rows(x, eps) == rows
+        assert classes == [2 << m for m in range(1, rows + 1)]
+        assert report.L == arith.max_m_leq(eps, x) - 1
 
     @pytest.mark.parametrize("x,eps", [(10**4, 1), (837, Fraction(17, 3))])
     def test_census_holds_one_row(self, monkeypatch, x, eps):
@@ -978,7 +1089,7 @@ class TestCensusTable:
         # odd k with k^num >= 2^(m*den), found here by exact powers alone.
         # Route 2 yields nothing to compare, and every value counts as prime.
         eps = Fraction(num, den)
-        rows = arith.max_m_leq(eps, x)
+        rows = n_rows(x, eps)
         assume(rows >= 1)
         m = 1 + pick % rows
         nk = (x + 1) // 2
@@ -990,7 +1101,8 @@ class TestCensusTable:
             patch.setattr(census, "_prime_rows", lambda x, count: prime)
             patch.setattr(census, "_progression_hits", lambda *args: iter(()))
             patch.setattr(arith, "is_prime", lambda n: seven)
-            flags = census._census_flags(x, eps, rows - 1, True)[3]
+            flags = census._census_flags(x, eps, arith.max_m_leq(eps, x) - 1, rows,
+                                         True)[3]
         assert flags.tolist() == [j >= first for j in range(nk)]
 
     def test_m_window_holds_no_table_sized_array(self, monkeypatch):
@@ -1011,7 +1123,7 @@ class TestCensusTable:
         monkeypatch.setattr(census, "_progression_hits",
                             lambda limit, q, a, primes: iter(segments[q]))
         try:
-            census._census_flags(x, Fraction(1), rows - 1, True)
+            census._census_flags(x, Fraction(1), rows - 1, rows, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

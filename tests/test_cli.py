@@ -306,8 +306,8 @@ class TestErrorExits:
         (["psi", "--x", "100000001", "--q", "4", "--a", "1"],
          "domain error: x = 100000001 exceeds the psi limit 100000000"),
         (["census", "--x", "1000000000", "--epsilon", "1"],
-         "domain error: census for x = 1000000000 sieves 14500000000 row "
-         "flags, over the budget of 134217728"),
+         "domain error: census for x = 1000000000 charges 14500000000 flags "
+         "(29 rows of 500000000), over the budget of 134217728"),
         (["search", "--k", "5", "--epsilon", "1e300"],
          "domain error: epsilon too large: k^numerator over 262144 bits"),
         (["census", "--x", "5", "--epsilon", "1000000000001/1000000000000"],
@@ -333,11 +333,14 @@ class TestErrorExits:
         (["search", "--k", "1", "--epsilon", "1e300"],
          "domain error: epsilon too large: k^numerator over 262144 bits"),
         # 2 060 and 158 496 rows, all but the first 32 testing their
-        # survivors past 2^34: over the row cap, refused before any is sieved
+        # survivors past 2^34: each row is charged at least 2^17 flags, so
+        # both are over the budget, refused before any is sieved
         (["census", "--x", "3", "--epsilon", "1300"],
-         "domain error: census for x = 3 needs 2060 rows, over the cap of 1024"),
+         "domain error: census for x = 3 charges 270008320 flags "
+         "(2060 rows of 131072), over the budget of 134217728"),
         (["census", "--x", "3", "--epsilon", "100000"],
-         "domain error: census for x = 3 needs 158496 rows, over the cap of 1024"),
+         "domain error: census for x = 3 charges 20774387712 flags "
+         "(158496 rows of 131072), over the budget of 134217728"),
     ])
     def test_bad_argument_exits_with_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)

@@ -7,7 +7,7 @@ import pytest
 
 from hadcensus import arith, construct, solver
 from hadcensus.construct import (
-    MAX_ORDER_DEFAULT,
+    MAX_ORDER,
     ConstructionPlan,
     build_plan,
     paley_I,
@@ -27,7 +27,7 @@ def test_sylvester_small():
 
 
 def too_large(order):
-    return f"^order {re.escape(str(order))} exceeds max_order {MAX_ORDER_DEFAULT}$"
+    return f"^order {re.escape(str(order))} exceeds max_order {MAX_ORDER}$"
 
 
 def prime_power(q):
@@ -220,7 +220,7 @@ def test_pipeline_outputs_verify():
             plan = plan_for(k, 2)
         except NoPrimeInRange:
             continue
-        if plan.claimed_order <= MAX_ORDER_DEFAULT:
+        if plan.claimed_order <= MAX_ORDER:
             M = build_plan(plan)
             assert is_hadamard(M)
             assert M.n == plan.claimed_order
