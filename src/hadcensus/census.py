@@ -12,7 +12,7 @@ time from _prime_rows and holds no table: _census_flags checks each row, by
 the sigma identity, against pi's own sieve of the class 2^l - 1 mod 2^(l+1)
 to 2^l*x, _progression_hits, segment by segment, tests the survivors of a
 row whose values pass the sieve bound's square once each, and adds the row
-into the pi terms, S and M's flags; N and the sum of S^2 reduce S.  The two
+into the pi terms, S and first, k's first row; N and M reduce first.  The two
 sieves share no prime list, inverse or strike code: the rows sieve with
 _prime_flags, carry 2^-m from row to row and spare each p's own k; the class
 sieve takes the odd primes of arith's bytearray sieve, raises (p + 1)/2 to
@@ -146,9 +146,8 @@ def _prime_rows(x, rows):
 
 def _census_flags(x, epsilon, L, rows, allow_probable):
     """One pass over N's rows m = 1..rows (L or L + 1) of _prime_rows, each
-    checked against route 2, its survivors tested past max(SIEVE_BOUND, x)^2,
-    then folded in: returns (pi terms, S(k, L) per odd k, N, M's flags,
-    certified)."""
+    checked against route 2, its survivors tested past max(SIEVE_BOUND, x)^2:
+    returns (pi terms, S(k, L), first row flagging k or 0, M's flags, certified)."""
     num, den = epsilon.numerator, epsilon.denominator
     nk, bound = (x + 1) // 2, max(SIEVE_BOUND, x)
     # route 2's odd primes, to the largest root any of its rows needs
@@ -156,7 +155,7 @@ def _census_flags(x, epsilon, L, rows, allow_probable):
     screen = np.array(screen[1:], dtype=np.int64)
     terms, certified = [], True
     S = np.zeros(nk, dtype=np.min_scalar_type(L))
-    flags_m = np.zeros(nk, dtype=bool)
+    first = np.zeros(nk, dtype=np.min_scalar_type(rows))
     for m, row in enumerate(_prime_rows(x, rows), 1):
         for n, _, hits in _progression_hits(x << m, 2 << m, (1 << m) - 1, screen):
             j = n >> m + 1  # n = 2^m*(2j + 1) - 1
@@ -169,20 +168,21 @@ def _census_flags(x, epsilon, L, rows, allow_probable):
                 r = arith.is_prime(((2 * j + 1) << m) - 1)
                 row[j] = r.counts(allow_probable)
                 # past row L a probable prime matters only as k's first in N
-                if row[j] and not r.is_certified and (m <= L or not S[j]):
+                if row[j] and not r.is_certified and (m <= L or not first[j]):
                     certified = False
         if m <= L:
             terms.append((m, int(np.count_nonzero(row))))
             S += row
-        # M's window in row m: the odd k from the least with k^num >= 2^(m*den),
-        # the float root, within 1 of it for any x a census takes, made exact
-        k, power = math.ceil(2 ** (m * den / num)), 1 << m * den
-        k += k**num < power
-        k -= (k - 1) ** num >= power
-        flags_m[k // 2 :] |= row[k // 2 :]
-    # N's k: S(k, L) > 0, or a prime in row L + 1 if N's window holds it
-    N = int(np.count_nonzero(S | row if rows > L else S))
-    return tuple(terms), S, N, flags_m, certified
+        first += (row & (first == 0)) * first.dtype.type(m)
+    # M's window is m from the least k with k^num >= 2^(m*den), c - 1, c or c + 1 for
+    # the float root c, to row m + 1's: 0 < first <= m, or first - 1 < m as 0 wraps round
+    flags_m, hi = np.zeros(nk, dtype=bool), nk
+    for m in range(rows, 0, -1):
+        c, power = math.ceil(2 ** (m * den / num)), 1 << m * den
+        lo = (c - 1 + ((c - 1) ** num < power) + (c**num < power)) // 2
+        np.less(first[lo:hi] - 1, m, out=flags_m[lo:hi])
+        hi = lo
+    return tuple(terms), S, first, flags_m, certified
 
 
 def _closure_count(flags):
@@ -403,7 +403,7 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
     if (size := rows * (per_row := max((x + 1) // 2, SIEVE_BOUND))) > TABLE_BYTES_MAX:
         raise DomainError(f"census for x = {x} charges {size} flags ({rows} rows "
                           f"of {per_row}), over the budget of {TABLE_BYTES_MAX}")
-    terms, S, N, flags_m, certified = _census_flags(x, epsilon, L, rows, allow_probable)
+    terms, S, first, flags_m, certified = _census_flags(x, epsilon, L, rows, allow_probable)
     s_sum = sum(c for _, c in terms)  # sigma: the pi terms sum S(k, L)
     s_sq = sum(s * s * int(np.count_nonzero(S == s)) for s in range(1, L + 1))
     m_count = int(np.count_nonzero(flags_m))
@@ -414,7 +414,7 @@ def density_report(x, epsilon, allow_probable=True) -> CensusReport:
         sigma=s_sum,
         pi_terms=terms,
         sum_S_squared=s_sq,
-        N=N,
+        N=int(np.count_nonzero(first)),
         M=m_count,
         M_prime=_closure_count(flags_m),
         H_lower=1 + m_count,

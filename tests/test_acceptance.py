@@ -190,12 +190,12 @@ def test_09_cross_module_consistency(verdict):
     empty = []
     for eps in (Fraction(1, 2), Fraction(1), Fraction(2)):
         L = arith.max_m_leq(eps, x) - 1  # x is no power of 2: N reads row L + 1
-        census_flags = census._census_flags(x, eps, L, L + 1, True)[3]
-        solver_flags = [
-            solver.find_m(k, eps).found_m is not None
-            for k in range(1, x + 1, 2)
-        ]
-        ok = ok and census_flags.tolist() == solver_flags
+        _, _, first, flags_m, _ = census._census_flags(x, eps, L, L + 1, True)
+        # M's k and the m of each: the first row of the k that M counts
+        census_m = [m if counted else None
+                    for m, counted in zip(first.tolist(), flags_m.tolist())]
+        solver_m = [solver.find_m(k, eps).found_m for k in range(1, x + 1, 2)]
+        ok = ok and census_m == solver_m
         for probe in (10, 100, 1000, x):
             try:
                 report = census.density_report(probe, eps)
@@ -204,7 +204,7 @@ def test_09_cross_module_consistency(verdict):
                 continue
             ok = ok and report.H_lower >= report.M
             if probe == x:
-                ok = ok and report.M == sum(solver_flags)
+                ok = ok and report.M == sum(m is not None for m in solver_m)
     # L = floor(log2(10)/2) - 1 = 0: the one probe with no sigma window
     ok = ok and empty == [(10, Fraction(1, 2))]
     verdict(9, "census/solver window agreement", ok)

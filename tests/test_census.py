@@ -106,11 +106,12 @@ def n_rows(x, eps):
     return ((x**eps.numerator - 1).bit_length() - 1) // eps.denominator
 
 
-def m_window(x, eps, allow_probable=True):
-    """M's flag per odd k <= x from one census pass."""
+def census_pass(x, eps, allow_probable=True):
+    """_census_flags over N's rows: (pi terms, S, first row per odd k <= x,
+    M's flag per odd k <= x, certified)."""
     eps = Fraction(eps)
     L = arith.max_m_leq(eps, x) - 1
-    return census._census_flags(x, eps, L, n_rows(x, eps), allow_probable)[3]
+    return census._census_flags(x, eps, L, n_rows(x, eps), allow_probable)
 
 
 class Admitted(Exception):
@@ -238,7 +239,7 @@ class TestCensusCounts:
 
     def test_M_prime_closure(self):
         # 15 = 3 * 5 qualifies through its factors at epsilon = 1
-        flags = m_window(15, Fraction(1))
+        flags = census_pass(15, Fraction(1))[3]
         report = density_report(15, 1)
         assert report.M_prime >= report.M
         base_3 = flags[(3 - 1) // 2]
@@ -685,7 +686,10 @@ def _brute_census(x, eps, allow_probable):
                      for l in range(1, L + 1))
     certified = not any(counted(k, l)[1] for k in ks for l in range(1, L + 1))
     n_window = [[counted(k, m) for m in range(1, n_hi + 1)] for k in ks]
-    N = sum(any(ok for ok, _ in pairs) for pairs in n_window)
+    # each k's first counted row in N's window, 0 if it has none
+    first_rows = [next((m for m, (ok, _) in enumerate(pairs, 1) if ok), 0)
+                  for pairs in n_window]
+    N = sum(map(bool, first_rows))
     # every k that N counts has a certified prime in N's window
     n_certified = all(any(ok and not probable for ok, probable in pairs)
                       for pairs in n_window if any(ok for ok, _ in pairs))
@@ -711,6 +715,7 @@ def _brute_census(x, eps, allow_probable):
         "cs_lower_bound": Fraction(sigma_ * sigma_, ssq) if ssq else 0,
         "upper_curve": 2 * x * math.log2(1 + float(eps)),
         "certified": certified and m_certified and n_certified,
+        "first": first_rows,
         "m_detail": list(qualifies.values()),
         "degenerate_flags": () if ssq else ("cs_lower_bound_zero_denominator",),
     }
@@ -751,7 +756,9 @@ class TestCensusTable:
     def test_report_matches_brute_force(self, x, eps, allow_probable):
         report = density_report(x, eps, allow_probable)
         expected = _brute_census(x, Fraction(eps), allow_probable)
-        assert m_window(x, eps, allow_probable).tolist() == expected.pop("m_detail")
+        _, _, first, flags_m, _ = census_pass(x, eps, allow_probable)
+        assert first.tolist() == expected.pop("first")
+        assert flags_m.tolist() == expected.pop("m_detail")
         assert report.L == expected.pop("L")
         for field, value in expected.items():
             assert getattr(report, field) == value, field
@@ -1057,10 +1064,11 @@ class TestCensusTable:
         assert len(refs) == report.L + 1
 
     def test_no_per_k_copy_after_the_last_row(self, monkeypatch):
-        # once the last row is folded in, N, S's moments, M and the M' closure
-        # are reduced from S and M's flags where they lie: what the census
-        # allocates from there on stays under 2 bytes per odd k (a copy of M's
-        # flags takes 1, an int64 copy of S 8)
+        # once the last row is folded in, N is reduced from first and S's
+        # moments from S where they lie, and M's flags, reduced from first,
+        # are closed in place for M': what the census allocates from there
+        # on, M's flags among it, stays under 2 bytes per odd k (an int64
+        # copy of S takes 8)
         x, rows, marks = 10**6, census._prime_rows, []
 
         def watched(x, count):
