@@ -19,9 +19,13 @@ sieve takes the odd primes of arith's bytearray sieve, raises (p + 1)/2 to
 its power afresh and strikes from p^2.  Both sieve with the odd primes to
 max(SIEVE_BOUND, x), exact on each row whose values stay within its square,
 as all do at epsilon <= 1.  The first k whose flags differ names the fault;
-arith's test is covered by test_arith.  pi_count sieves only the odd members
-of its class, psi's smallest-prime-factor route only the members of its own;
-psi's other route reads pi's sieve, checking it, and the two share no table.
+arith's test is covered by test_arith.  A census that tests survivors splits
+its rows round-robin over the CPUs it may run on: the main process forks a
+worker per further CPU, once, each holding its own row, S, first and sieving
+primes, and merges the parts they send back.  pi_count sieves only the odd
+members of its class, psi's smallest-prime-factor route only the members of
+its own; psi's other route reads pi's sieve, checking it, and the two share
+no table.
 Past TABLE_BYTES_MAX, PI_MAX_X or PSI_MAX_X, nothing is built.
 
 The Riemann sum is inclusive at both ends, like the census window l = 1..L.
@@ -109,25 +113,27 @@ class CensusReport:
 # --- the census rows ---------------------------------------------------------
 
 
-def _prime_rows(x, rows):
-    """Rows m = 1..rows, each a fresh array: flag j for odd k = 2j + 1 <= x
-    unless an odd prime p <= min(isqrt(2^m*x), bound) divides 2^m*k - 1 other
-    than as itself, bound = max(SIEVE_BOUND, x): the primes in each row whose
-    values stay within bound^2, the sieve's survivors in the rows past it.
+def _prime_rows(x, ms):
+    """Rows m of the range ms (m >= 1), each a fresh array: flag j for odd
+    k = 2j + 1 <= x unless an odd prime p <= min(isqrt(2^m*x), bound) divides
+    2^m*k - 1 other than as itself, bound = max(SIEVE_BOUND, x): the primes in
+    each row whose values stay within bound^2, the sieve's survivors past it.
 
-    2^m*k - 1 = 0 (mod p) exactly when k = 2^-m (mod p), so row m crosses
-    those k out but spares the entry equal to p.  Primes below the number of
-    k over FEW_HITS stride through the row; pass i < FEW_HITS stores hit i of
-    each larger p with i*p below it, all in one index.
+    2^m*k - 1 = 0 (mod p) exactly when k = 2^-m (mod p), carried through each
+    m, so row m crosses those k out but spares the entry equal to p.  Primes
+    below the number of k over FEW_HITS stride through the row; pass i <
+    FEW_HITS stores hit i of each larger p with i*p below it, all in one index.
     """
     nk = (x + 1) // 2
     bound = max(SIEVE_BOUND, x)
-    top = min(math.isqrt(x << rows), bound)
+    top = min(math.isqrt(x << ms[-1]), bound)
     primes = np.flatnonzero(_prime_flags(top))[1:]
     half = (primes + 1) // 2  # 2^-1 mod p
     inv = np.ones_like(primes)
-    for m in range(1, rows + 1):
+    for m in range(1, ms[-1] + 1):
         inv = inv * half % primes  # 2^-m mod p
+        if m not in ms:
+            continue
         p = primes[: np.searchsorted(primes, math.isqrt(x << m), side="right")]
         j = (inv[: p.size] - 1) * half[: p.size] % p  # k = 2j + 1 = 2^-m (mod p)
         # 2^m*k - 1 = p needs 2^m <= p + 1, so the shift cannot overflow
@@ -144,36 +150,89 @@ def _prime_rows(x, rows):
         yield row
 
 
+def _in_parts(count, work):
+    """[work(i, n) for i in range(n)], n = min(count, CPUs this process may run
+    on): work(0, n) here, each other part in a forked worker that pickles back
+    its result or exception, then leaves by os._exit.  Each worker is reaped
+    before this returns, and killed first if this raises."""
+    import os, pickle, signal
+
+    n = min(count, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    workers, done = [], False
+    try:
+        for i in range(1, n):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(write, "wb") as pipe:
+                        try:
+                            pipe.write(pickle.dumps(work(i, n)))
+                        except Exception as error:  # the main process raises it
+                            pipe.write(pickle.dumps(error))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            workers.append((pid, open(read, "rb")))
+        parts = [work(0, n)]
+        for pid, pipe in workers:
+            try:
+                parts.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                raise SelfCheckError(f"census worker {pid} ended without a result") from None
+            if isinstance(parts[-1], Exception):
+                raise parts[-1]
+        done = True
+        return parts
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _census_flags(x, epsilon, L, rows, allow_probable):
     """One pass over N's rows m = 1..rows (L or L + 1) of _prime_rows, each
-    checked against route 2, its survivors tested past max(SIEVE_BOUND, x)^2:
-    returns (pi terms, S(k, L), first row flagging k or 0, M's flags, certified)."""
+    checked against route 2, its survivors tested past max(SIEVE_BOUND, x)^2.
+    Where it tests them, _in_parts splits the rows round-robin over processes,
+    each holding its own row, sieving primes, S and first, merged here: returns
+    (pi terms, S(k, L), first row flagging k or 0, M's flags, certified)."""
     num, den = epsilon.numerator, epsilon.denominator
     nk, bound = (x + 1) // 2, max(SIEVE_BOUND, x)
     # route 2's odd primes, to the largest root any of its rows needs
     screen = arith._sieve_upto(min(bound, math.isqrt(x << rows)))
     screen = np.array(screen[1:], dtype=np.int64)
-    terms, certified = [], True
-    S = np.zeros(nk, dtype=np.min_scalar_type(L))
-    first = np.zeros(nk, dtype=np.min_scalar_type(rows))
-    for m, row in enumerate(_prime_rows(x, rows), 1):
-        for n, _, hits in _progression_hits(x << m, 2 << m, (1 << m) - 1, screen):
-            j = n >> m + 1  # n = 2^m*(2j + 1) - 1
-            wrong = np.flatnonzero(row[j : j + hits.size] != hits)
-            if wrong.size:
-                raise SelfCheckError(f"sigma identity violated at l = {m}: "
-                                     f"k = {2 * (j + wrong[0]) + 1}")
-        if math.isqrt(x << m) > bound:
-            for j in np.flatnonzero(row).tolist():
-                r = arith.is_prime(((2 * j + 1) << m) - 1)
-                row[j] = r.counts(allow_probable)
-                # past row L a probable prime matters only as k's first in N
-                if row[j] and not r.is_certified and (m <= L or not first[j]):
-                    certified = False
-        if m <= L:
-            terms.append((m, int(np.count_nonzero(row))))
-            S += row
-        first += (row & (first == 0)) * first.dtype.type(m)
+
+    def part(i, step):  # rows 1 + i + step*t: pi terms, S, first, probable (m, j)
+        ms, terms, probable = range(1 + i, rows + 1, step), [], []
+        S = np.zeros(nk, dtype=np.min_scalar_type(L))
+        first = np.zeros(nk, dtype=np.min_scalar_type(rows))
+        for m, row in zip(ms, _prime_rows(x, ms), strict=True):
+            for n, _, hits in _progression_hits(x << m, 2 << m, (1 << m) - 1, screen):
+                j = n >> m + 1  # n = 2^m*(2j + 1) - 1
+                wrong = np.flatnonzero(row[j : j + hits.size] != hits)
+                if wrong.size:
+                    raise SelfCheckError(f"sigma identity violated at l = {m}: "
+                                         f"k = {2 * (j + wrong[0]) + 1}")
+            if math.isqrt(x << m) > bound:
+                for j in np.flatnonzero(row).tolist():
+                    r = arith.is_prime(((2 * j + 1) << m) - 1)
+                    row[j] = r.counts(allow_probable)
+                    if row[j] and not r.is_certified:
+                        probable.append((m, j))
+            if m <= L:
+                terms.append((m, int(np.count_nonzero(row))))
+                S += row
+            first += (row & (first == 0)) * first.dtype.type(m)
+        return terms, S, first, probable
+
+    split = math.isqrt(x << rows) > bound  # tests survivors: every n-th row per CPU
+    (terms, S, first, probable), *others = _in_parts(rows, part) if split else [part(0, 1)]
+    for t, s, f, p in others:  # 0, no row, wraps to the top of first's type
+        terms, probable, S = terms + t, probable + p, S + s
+        first = np.minimum(first - 1, f - 1) + 1
+    # past row L a probable prime matters only as k's first in N
+    certified = not any(m <= L or first[j] == m for m, j in probable)
     # M's window is m from the least k with k^num >= 2^(m*den), c - 1, c or c + 1 for
     # the float root c, to row m + 1's: 0 < first <= m, or first - 1 < m as 0 wraps round
     flags_m, hi = np.zeros(nk, dtype=bool), nk
@@ -182,7 +241,7 @@ def _census_flags(x, epsilon, L, rows, allow_probable):
         lo = (c - 1 + ((c - 1) ** num < power) + (c**num < power)) // 2
         np.less(first[lo:hi] - 1, m, out=flags_m[lo:hi])
         hi = lo
-    return tuple(terms), S, first, flags_m, certified
+    return tuple(sorted(terms)), S, first, flags_m, certified
 
 
 def _closure_count(flags):

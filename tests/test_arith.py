@@ -63,8 +63,10 @@ class TestIsPrime:
         assert r.verdict is Verdict.COMPOSITE and r.is_certified
         assert r.method is Method.BAILLIE_PSW
 
-    def test_census_labels_past_2_64(self, monkeypatch):
-        # census (9 991, 5) tests 21 669 window members, thousands past 2^64
+    def test_census_labels_past_2_64(self, monkeypatch, cpus):
+        # census (9 991, 5) tests 21 669 window members, thousands past 2^64,
+        # all in this process
+        cpus(1)
         real, seen = arith.is_prime, Counter()
 
         def labelled(n):

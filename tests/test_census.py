@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import time
 import tracemalloc
 import weakref
 from bisect import bisect_left
@@ -21,7 +23,9 @@ from hadcensus.census import (
     psi_paths,
     riemann_tail_sum,
 )
+from hadcensus.cli import EXIT_NOT_HADAMARD, main
 from hadcensus.errors import DomainError
+from hadcensus.jsonio import canonical_json
 
 
 def trial_division_prime(n):
@@ -98,7 +102,8 @@ def S_count(k, L, allow_probable=True):
 def sieve_rows(x, eps):
     """The census's sieved rows for (x, eps), stacked into the table that
     density_report never holds."""
-    return np.array(list(census._prime_rows(x, arith.max_m_leq(Fraction(eps), x))))
+    ms = range(1, arith.max_m_leq(Fraction(eps), x) + 1)
+    return np.array(list(census._prime_rows(x, ms)))
 
 
 def n_rows(x, eps):
@@ -123,15 +128,18 @@ def admit(x, eps, L, rows, allow_probable):
     raise Admitted(rows)
 
 
-def plant_row_fault(monkeypatch, fault):
-    """Pass each row m of the census through fault(m, row) as it is yielded."""
+def plant_row_fault(monkeypatch, cpus, fault, n=1):
+    """Pass each row m of the census through fault(m, row) as it is yielded,
+    in whichever process holds it, with the census seeing n CPUs: at n = 1,
+    every row in this process."""
     rows = census._prime_rows
 
-    def faulty(x, count):
-        for m, row in enumerate(rows(x, count), 1):
+    def faulty(x, ms):
+        for m, row in zip(ms, rows(x, ms)):
             fault(m, row)
             yield row
 
+    cpus(n)
     monkeypatch.setattr(census, "_prime_rows", faulty)
 
 
@@ -775,9 +783,10 @@ class TestCensusTable:
             tracemalloc.stop()
         assert kept < 100_000
 
-    def test_census_asks_no_value_twice(self, monkeypatch):
+    def test_census_asks_no_value_twice(self, monkeypatch, cpus):
         # past SIEVE_BOUND^2 the two sieves are compared first, and then
-        # each survivor of the table is tested once
+        # each survivor of the table is tested once, all in this process
+        cpus(1)
         asked = Counter()
         is_prime = arith.is_prime
 
@@ -788,22 +797,26 @@ class TestCensusTable:
         monkeypatch.setattr(arith, "is_prime", counted)
         density_report(9991, 5)
         assert asked and max(asked.values()) == 1
+        assert len(asked) == 21669
 
     @pytest.mark.parametrize("x,eps", [(2100, 5), (837, Fraction(17, 3))])
-    def test_second_route_asks_arith_nothing(self, monkeypatch, x, eps):
+    def test_second_route_asks_arith_nothing(self, monkeypatch, cpus, x, eps):
         # route 2 is a sieve alone: past SIEVE_BOUND^2 it is compared with
         # the table's sieve before the table's survivors are tested
-        asked = []
+        cpus(1)
+        asked, calls = [], []
         is_prime, route = arith.is_prime, census._progression_hits
 
         def counted_route(*args, **kwargs):
+            calls.append(args[1])
             with monkeypatch.context() as patch:
                 patch.setattr(arith, "is_prime", lambda n: asked.append(n) or is_prime(n))
                 yield from route(*args, **kwargs)
 
         monkeypatch.setattr(census, "_progression_hits", counted_route)
-        density_report(x, eps)
+        report = density_report(x, eps)
         assert asked == []
+        assert calls == [2 << m for m in range(1, report.L + 2)]
 
     def test_census_past_the_sieve_floor_tests_nothing(self, monkeypatch):
         # at epsilon = 1 and x > SIEVE_BOUND the bound is x, and every row's
@@ -816,7 +829,7 @@ class TestCensusTable:
         assert asked == []
         assert census.SIEVE_BOUND < 131073
 
-    def test_composites_past_the_sieve_bound_are_rejected(self, monkeypatch):
+    def test_composites_past_the_sieve_bound_are_rejected(self, monkeypatch, cpus):
         # 2^m*k - 1 = p*q with both factors above the sieve bound (here
         # SIEVE_BOUND > x): the sieve cannot cross these out, only the
         # survivor test can, on the row the census folds in
@@ -824,7 +837,7 @@ class TestCensusTable:
         cases = [(30, 2583, 1939169, 1430239), (30, 2657, 1234241, 2311487),
                  (31, 1485, 1357009, 2350031), (31, 1531, 1598827, 2056381)]
         rows = {}
-        plant_row_fault(monkeypatch, rows.__setitem__)  # keeps each row, faults none
+        plant_row_fault(monkeypatch, cpus, rows.__setitem__)  # keeps each row, faults none
         density_report(2657, 3)
         for m, k, p, q in cases:
             assert (k << m) - 1 == p * q and min(p, q) > B
@@ -860,12 +873,12 @@ class TestCensusTable:
         (2000, 2, 15, 999),  # value near 2^25: decided exactly too
         (1001, 3, 25, 999),  # value near 2^35: sieve survivors, tested later
     ])
-    def test_planted_table_fault_breaks_sigma(self, monkeypatch, x, eps, m, k):
+    def test_planted_table_fault_breaks_sigma(self, monkeypatch, cpus, x, eps, m, k):
         def fault(row_m, row):
             if row_m == m:
                 row[(k - 1) // 2] ^= True
 
-        plant_row_fault(monkeypatch, fault)
+        plant_row_fault(monkeypatch, cpus, fault)
         with pytest.raises(ArithmeticError, match="sigma identity") as error:
             density_report(x, eps)
         assert str(error.value) == f"sigma identity violated at l = {m}: k = {k}"
@@ -880,11 +893,12 @@ class TestCensusTable:
         # window, yet N and M read it
         (census.SIEVE_BOUND, 2501, 1, 1609, 11, 2419),
     ], ids=["3-1-5", "101-4-827", "997-13-937", "1609-11-2419"])
-    def test_planted_sieve_fault_breaks_sigma(self, monkeypatch, bound, x, eps,
+    def test_planted_sieve_fault_breaks_sigma(self, monkeypatch, cpus, bound, x, eps,
                                               dropped, l, k):
         # The table sieves with _prime_flags and the second route does not,
         # so a prime lost from _prime_flags leaves its multiples in the table
-        # alone.
+        # alone.  In one process the census names the first row it faults.
+        cpus(1)
         sieve = census._prime_flags
 
         def faulty(limit):
@@ -904,11 +918,12 @@ class TestCensusTable:
         (2**5, 1001, 3, 997, 13, 937),
         (census.SIEVE_BOUND, 2501, 1, 1609, 11, 2419),
     ], ids=["3-1-5", "101-4-827", "997-13-937", "1609-11-2419"])
-    def test_planted_screen_fault_breaks_sigma(self, monkeypatch, bound, x, eps,
+    def test_planted_screen_fault_breaks_sigma(self, monkeypatch, cpus, bound, x, eps,
                                                dropped, l, k):
         # The converse: a prime lost from route 2's screen (arith's sieve)
         # leaves 2^l*k - 1 = dropped*(cofactor) in route 2 alone, at the same
         # (l, k), while the rows, sieved by _prime_flags, do not move.
+        cpus(1)
         monkeypatch.setattr(census, "SIEVE_BOUND", bound)
         table = sieve_rows(x, eps)
         sieve = arith._sieve_upto
@@ -924,7 +939,7 @@ class TestCensusTable:
         (2000, 2, 14, 15),  # values near 2^25: decided exactly too
         (1001, 3, 24, 25),  # values near 2^35: sieve survivors, tested later
     ])
-    def test_compensating_table_faults_break_sigma(self, monkeypatch, x, eps,
+    def test_compensating_table_faults_break_sigma(self, monkeypatch, cpus, x, eps,
                                                    lost, gained):
         # One prime moved from row `lost` to row `gained`: the sum over l
         # still matches, so only the per-l comparison can see it.
@@ -934,7 +949,7 @@ class TestCensusTable:
             if m == gained:
                 row[np.flatnonzero(~row)[0]] = True
 
-        plant_row_fault(monkeypatch, fault)
+        plant_row_fault(monkeypatch, cpus, fault)
         with pytest.raises(ArithmeticError, match=f"sigma identity violated at l = {lost}:"):
             density_report(x, eps)
 
@@ -955,7 +970,7 @@ class TestCensusTable:
                 density_report(10**9, 1)
         # the budget is exact: 9 rows of 500 odd k sieve 4 500 bytes, and
         # each row is charged the floor of SIEVE_BOUND = 131 072 flags
-        assert sum(row.nbytes for row in census._prime_rows(1000, 9)) == 4500
+        assert sum(row.nbytes for row in census._prime_rows(1000, range(1, 10))) == 4500
         assert charge(1000, 1) == 9 * 131072 == 1179648
         monkeypatch.setattr(census, "TABLE_BYTES_MAX", 1179648)
         assert density_report(1000, 1).L == 8
@@ -1027,38 +1042,40 @@ class TestCensusTable:
         (4096, Fraction(1, 3), 3),  # = 4
         (1000, Fraction(1), 9),  # = 9.97: L = 8, and N reads row 9
     ])
-    def test_census_sieves_and_checks_only_n_rows(self, monkeypatch, x, eps, rows):
+    def test_census_sieves_and_checks_only_n_rows(self, monkeypatch, cpus, x, eps, rows):
         sieved, checked = census._prime_rows, census._progression_hits
         counts, classes = [], []
 
-        def watched_rows(x, count):
-            counts.append(count)
-            yield from sieved(x, count)
+        def watched_rows(x, ms):
+            counts.append(ms)
+            yield from sieved(x, ms)
 
         def watched_class(limit, q, a, primes):
             classes.append(q)
             return checked(limit, q, a, primes)
 
+        cpus(1)
         monkeypatch.setattr(census, "_prime_rows", watched_rows)
         monkeypatch.setattr(census, "_progression_hits", watched_class)
         report = density_report(x, eps)
-        assert counts == [rows] and n_rows(x, eps) == rows
+        assert counts == [range(1, rows + 1)] and n_rows(x, eps) == rows
         assert classes == [2 << m for m in range(1, rows + 1)]
         assert report.L == arith.max_m_leq(eps, x) - 1
 
     @pytest.mark.parametrize("x,eps", [(10**4, 1), (837, Fraction(17, 3))])
-    def test_census_holds_one_row(self, monkeypatch, x, eps):
+    def test_census_holds_one_row(self, monkeypatch, cpus, x, eps):
         # every row is freed by the time the row two past it is yielded: the
         # census folds each row in and holds no table
         rows, refs = census._prime_rows, []
 
-        def watched(x, count):
-            for row in rows(x, count):
+        def watched(x, ms):
+            for row in rows(x, ms):
                 refs.append(weakref.ref(row))
                 if len(refs) > 2:
                     assert refs[-3]() is None, f"row {len(refs) - 2} outlived row {len(refs)}"
                 yield row
 
+        cpus(1)
         monkeypatch.setattr(census, "_prime_rows", watched)
         report = density_report(x, eps)
         assert len(refs) == report.L + 1
@@ -1071,8 +1088,8 @@ class TestCensusTable:
         # copy of S takes 8)
         x, rows, marks = 10**6, census._prime_rows, []
 
-        def watched(x, count):
-            yield from rows(x, count)
+        def watched(x, ms):
+            yield from rows(x, ms)
             marks.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
 
@@ -1101,12 +1118,14 @@ class TestCensusTable:
         assume(rows >= 1)
         m = 1 + pick % rows
         nk = (x + 1) // 2
-        prime, seven = (np.full(nk, r == m) for r in range(1, rows + 1)), arith.is_prime(7)
+        seven = arith.is_prime(7)
         power = 1 << m * eps.denominator
         first = bisect_left(range(1, x + 1, 2), True,
                             key=lambda k: k**eps.numerator >= power)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(census, "_prime_rows", lambda x, count: prime)
+            # each process of a split census takes its own rows ms
+            patch.setattr(census, "_prime_rows",
+                          lambda x, ms: (np.full(nk, r == m) for r in ms))
             patch.setattr(census, "_progression_hits", lambda *args: iter(()))
             patch.setattr(arith, "is_prime", lambda n: seven)
             flags = census._census_flags(x, eps, arith.max_m_leq(eps, x) - 1, rows,
@@ -1118,14 +1137,14 @@ class TestCensusTable:
         # 2's segments made beforehand, what the census allocates from its
         # first row on, M's window among it, stays under a quarter of that.
         x, rows = 10**5, 16
-        table = list(census._prime_rows(x, rows))
+        table = list(census._prime_rows(x, range(1, rows + 1)))
         screen = np.array(arith._sieve_upto(math.isqrt(x << rows))[1:])
         segments = {2 << m: list(census._progression_hits(x << m, 2 << m, (1 << m) - 1, screen))
                     for m in range(1, rows + 1)}
 
-        def replay(x, count):
+        def replay(x, ms):
             tracemalloc.start()
-            yield from table
+            yield from (table[m - 1] for m in ms)
 
         monkeypatch.setattr(census, "_prime_rows", replay)
         monkeypatch.setattr(census, "_progression_hits",
@@ -1152,7 +1171,7 @@ class TestCensusTable:
         expected = [strided_row(m, x, screen) for m in range(1, 25)]
         for few in (1, 2, 9, census.FEW_HITS, nk):
             monkeypatch.setattr(census, "FEW_HITS", few)
-            prime = np.array(list(census._prime_rows(x, 24)))
+            prime = np.array(list(census._prime_rows(x, range(1, 25))))
             for m, row in enumerate(expected, 1):
                 assert prime[m - 1].tolist() == row.tolist(), (few, m)
                 assert class_row(m, x, screen).tolist() == row.tolist(), (few, m)
@@ -1162,7 +1181,7 @@ class TestCensusTable:
         # primes; an index of every strike would take several MB
         tracemalloc.start()
         try:
-            for _ in census._prime_rows(10**5, 16):
+            for _ in census._prime_rows(10**5, range(1, 17)):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1181,3 +1200,116 @@ class TestCensusTable:
             tracemalloc.stop()
         assert np.count_nonzero(keep) == pi_count(10**5 << 15, 1 << 16, (1 << 15) - 1)
         assert peak < 1 << 20
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitCensus:
+    """A census that tests survivors splits N's rows round-robin over the
+    CPUs it may run on, part i + 1 taking rows 1 + i, 1 + i + n, ...; the
+    main process runs part 1 and merges the forked workers' parts."""
+
+    # CI's census pins below 10^5 that test survivors.  (837, 17/3) has
+    # probable primes in its row L + 1 = 55 alone: for k = 763 it is k's first
+    # row, and k's other rows sit in the other processes; for k = 693 it is
+    # not, and its first, row 4, sits in the worker at n = 2.
+    PINS = [(9991, 5), (837, Fraction(17, 3)), (2100, 5), (3, 100)]
+    # the one probable prime, row L + 1 = 56 of k = 279, is not k's first
+    # (row 1): certified, though at n = 2 row 56 sits in the worker
+    LATE = [(279, 7)]
+    # rows = L where x^num = 2^((L + 1)*den)
+    EXACT = [(1024, 3)]
+    SIEVE_PINS = [(99991, 1), (10000, Fraction(18723, 16000)), (1024, Fraction(1, 2))]
+
+    @staticmethod
+    def grid(seed=38, size=6):
+        rng = random.Random(seed)
+        pairs = ((rng.randrange(3, 1000), Fraction(rng.randrange(5, 14), 2)) for _ in range(50))
+        return [(x, eps) for x, eps in pairs if TestSplitCensus.splits(x, eps)][:size]
+
+    @staticmethod
+    def splits(x, eps):
+        return math.isqrt(x << n_rows(x, eps)) > max(census.SIEVE_BOUND, x)
+
+    def test_cases_split(self):
+        for x, eps in self.PINS + self.LATE + self.EXACT:
+            assert self.splits(x, eps), (x, eps)
+        assert len(self.grid()) == 6
+        assert not any(self.splits(x, eps) for x, eps in self.SIEVE_PINS)
+        assert n_rows(1024, Fraction(3)) == arith.max_m_leq(Fraction(3), 1024) - 1
+        report = density_report(279, 7)
+        assert report.certified and report.L + 1 == 56
+        assert not density_report(837, Fraction(17, 3)).certified
+
+    @pytest.mark.parametrize("allow_probable", [True, False])
+    def test_report_is_the_same_on_any_number_of_cpus(self, cpus, allow_probable):
+        for x, eps in self.PINS + self.LATE + self.EXACT + self.grid():
+            texts = []
+            for n in (1, 2, 3):  # n = 3: more processes than 2 CPUs run at once
+                cpus(n)
+                texts.append(canonical_json(density_report(x, eps, allow_probable).to_json_dict()))
+                assert_no_child_left()
+            assert texts[1] == texts[0] and texts[2] == texts[0], (x, eps)
+
+    @pytest.mark.parametrize("x,eps", SIEVE_PINS)
+    def test_a_census_that_tests_nothing_never_forks(self, monkeypatch, x, eps):
+        def refused(*args):
+            raise AssertionError("a sieve-only census asked for CPUs or a fork")
+
+        expected = density_report(x, eps)
+        monkeypatch.setattr(os, "sched_getaffinity", refused)
+        monkeypatch.setattr(os, "fork", refused)
+        assert density_report(x, eps) == expected
+
+    def test_worker_fault_fails_the_check(self, monkeypatch, cpus, capsys):
+        # (1001, 3) at n = 2: row 24 sits in the worker, whose error is
+        # pickled back and raised again in the main process
+        main_pid = os.getpid()
+
+        def fault(m, row):
+            if m == 24 and os.getpid() != main_pid:
+                row[(999 - 1) // 2] ^= True
+
+        plant_row_fault(monkeypatch, cpus, fault, n=2)
+        assert main(["census", "--x", "1001", "--epsilon", "3"]) == EXIT_NOT_HADAMARD
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "check failed: sigma identity violated "
+                                          "at l = 24: k = 999\n")
+        assert_no_child_left()
+
+    def test_main_process_fault_kills_its_workers(self, monkeypatch, cpus):
+        # the worker stalls on its first row while row 25, in the main
+        # process, fails: the main process raises at once, its worker killed
+        main_pid = os.getpid()
+
+        def fault(m, row):
+            if os.getpid() != main_pid:
+                time.sleep(60)
+            elif m == 25:
+                row[(999 - 1) // 2] ^= True
+
+        plant_row_fault(monkeypatch, cpus, fault, n=2)
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="^sigma identity violated at l = 25: k = 999$"):
+            density_report(1001, 3)
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
+    def test_worker_without_a_result(self, monkeypatch, cpus, capsys):
+        main_pid = os.getpid()
+
+        def fault(m, row):
+            if os.getpid() != main_pid:
+                os._exit(0)
+
+        plant_row_fault(monkeypatch, cpus, fault, n=2)
+        assert main(["census", "--x", "1001", "--epsilon", "3"]) == EXIT_NOT_HADAMARD
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("check failed: census worker ")
+        assert lines[0].endswith(" ended without a result")
+        assert_no_child_left()
